@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "conflict/fgraph.h"
@@ -134,6 +135,14 @@ DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
       static_cast<std::size_t>(options_.config.sink) >= initial.size()) {
     throw std::invalid_argument("DynamicPlanner: sink out of range");
   }
+  for (std::size_t id = 0; id < initial.size(); ++id) {
+    const NodeId first = mst_.node_at(initial[id]);
+    if (first != static_cast<NodeId>(id)) {
+      throw std::invalid_argument(
+          "DynamicPlanner: initial points " + std::to_string(first) +
+          " and " + std::to_string(id) + " coincide");
+    }
+  }
   sink_id_ = options_.config.sink;
 
   EpochReport report;
@@ -167,6 +176,16 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
   touched.reserve(mutations.size());
   try {
     for (const auto& mutation : mutations) {
+      if (mutation.kind != Mutation::Kind::kRemove) {
+        // Two nodes on one point would make a zero-length tree link.
+        const NodeId occupant = mst_.node_at(mutation.position);
+        if (occupant >= 0 && (mutation.kind == Mutation::Kind::kAdd ||
+                              occupant != mutation.node)) {
+          throw std::invalid_argument(
+              "DynamicPlanner: mutation places a node on node " +
+              std::to_string(occupant) + "'s position");
+        }
+      }
       switch (mutation.kind) {
         case Mutation::Kind::kAdd:
           touched.push_back(bulk ? mst_.add_point_deferred(mutation.position)

@@ -162,6 +162,7 @@ class DynamicPlanner : private geom::LinkStoreListener {
  public:
   /// Plans the initial epoch (a full replan). The pointset's indices become
   /// stable node ids 0..n-1; options.config.sink names the sink node.
+  /// Coincident initial points throw std::invalid_argument.
   DynamicPlanner(const geom::Pointset& initial, DynamicOptions options);
 
   // The planner registers itself as the store's mutation listener (the
@@ -173,11 +174,13 @@ class DynamicPlanner : private geom::LinkStoreListener {
   DynamicPlanner& operator=(DynamicPlanner&&) = delete;
 
   /// Applies one epoch: all mutations, then one incremental replan.
-  /// Mutations referencing dead nodes, removing the sink, or shrinking the
-  /// instance below 2 nodes throw std::invalid_argument. The plan is left
-  /// on the previous epoch; the mutations preceding the bad one stay
-  /// applied, and since their dirty tracking is lost with the failed call,
-  /// the next successful epoch replans (and re-verifies) from scratch.
+  /// Mutations referencing dead nodes, removing the sink, shrinking the
+  /// instance below 2 nodes, or adding or moving a node onto another alive
+  /// node's exact position throw std::invalid_argument; the bad mutation
+  /// itself changes nothing. The plan is left on the previous epoch; the
+  /// mutations preceding the bad one stay applied, and since their dirty
+  /// tracking is lost with the failed call, the next successful epoch
+  /// replans (and re-verifies) from scratch.
   EpochReport apply(std::span<const Mutation> mutations);
   EpochReport apply(const Mutation& mutation) {
     return apply(std::span<const Mutation>(&mutation, 1));

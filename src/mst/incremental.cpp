@@ -44,6 +44,10 @@ const geom::Point& IncrementalMst::position(NodeId id) const {
   return points_[static_cast<std::size_t>(id)];
 }
 
+NodeId IncrementalMst::node_at(const geom::Point& position) const {
+  return grid_.find_exact(position);
+}
+
 std::vector<NodeId> IncrementalMst::alive_ids() const {
   std::vector<NodeId> ids;
   ids.reserve(num_alive_);
@@ -232,6 +236,7 @@ NodeId IncrementalMst::add_point_deferred(const geom::Point& position) {
   points_.push_back(position);
   alive_.push_back(true);
   ++num_alive_;
+  grid_.insert(id, position);
   return id;
 }
 
@@ -239,6 +244,7 @@ void IncrementalMst::remove_point_deferred(NodeId id) {
   if (!alive(id)) {
     throw std::invalid_argument("IncrementalMst: dead or unknown node id");
   }
+  grid_.erase(id, points_[static_cast<std::size_t>(id)]);
   alive_[static_cast<std::size_t>(id)] = false;
   --num_alive_;
 }
@@ -248,7 +254,9 @@ void IncrementalMst::move_point_deferred(NodeId id,
   if (!alive(id)) {
     throw std::invalid_argument("IncrementalMst: dead or unknown node id");
   }
+  grid_.erase(id, points_[static_cast<std::size_t>(id)]);
   points_[static_cast<std::size_t>(id)] = position;
+  grid_.insert(id, position);
 }
 
 void IncrementalMst::rebuild() {

@@ -108,9 +108,10 @@ class IncrementalMst {
   /// Moves a point to a new position (same id before and after).
   void move_point(NodeId id, const geom::Point& position);
 
-  /// Deferred variants: apply the point change WITHOUT updating the tree.
-  /// The maintained edges are stale until rebuild() runs; interleaving
-  /// deferred and immediate updates without a rebuild in between is a bug.
+  /// Deferred variants: apply the point change WITHOUT updating the tree
+  /// (node_at still sees it). The maintained edges are stale until
+  /// rebuild() runs; interleaving deferred and immediate updates without a
+  /// rebuild in between is a bug.
   /// Worth it for bulk epochs — once a batch mutates a sizable fraction of
   /// the instance, one O(n^2) Prim beats per-mutation maintenance.
   NodeId add_point_deferred(const geom::Point& position);
@@ -129,6 +130,9 @@ class IncrementalMst {
   }
   [[nodiscard]] std::size_t num_alive() const noexcept { return num_alive_; }
   [[nodiscard]] const geom::Point& position(NodeId id) const;
+  /// The smallest alive id at exactly `position` (coordinate equality), or
+  /// -1. Grid lookup, O(1) expected.
+  [[nodiscard]] NodeId node_at(const geom::Point& position) const;
 
   /// Alive ids in increasing order (the canonical compaction order).
   [[nodiscard]] std::vector<NodeId> alive_ids() const;

@@ -105,6 +105,18 @@ class PointGrid {
     --num_points_;
   }
 
+  /// The smallest id inserted at exactly `p` (coordinate equality), or -1.
+  [[nodiscard]] std::int32_t find_exact(const geom::Point& p) const {
+    const auto [cx, cy] = coords(p);
+    const auto it = cells_.find(conflict::detail::cell_key(cx, cy));
+    std::int32_t found = -1;
+    if (it == cells_.end()) return found;
+    for (const Entry& e : it->second.entries) {
+      if (e.p == p && (found < 0 || e.id < found)) found = e.id;
+    }
+    return found;
+  }
+
   /// The 60-degree cone around `from` that contains direction (dx, dy).
   /// Any two directions in one cone are < 60 degrees apart (up to the
   /// floating-point boundary), which is exactly what makes nearest-per-cone

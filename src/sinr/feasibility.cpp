@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <stdexcept>
 
 namespace wagg::sinr {
@@ -150,12 +152,168 @@ std::vector<double> log2_gain_matrix(const geom::LinkView& links,
   return m;
 }
 
+// The linear kernel keeps every gain entry and every normalized iterate in
+// [2^-900, 2^900]. Products of two such values and sums of fewer than 2^100
+// of them then stay far from overflow. A product that underflows is below
+// 2^-1022 while every row sum is at least 2^-900, so each sum keeps full
+// relative precision. Sets outside the window go to the log-space kernel.
+constexpr double kLinearMin = 0x1p-900;
+constexpr double kLinearMax = 0x1p+900;
+
+/// x^(alpha/2) for the squared gain ratio x = l^2 / d^2. When q = 2 * alpha
+/// is an integer (alpha <= 16), x^(q/4) is x^(q div 4), times sqrt(x) if q
+/// has bit 1 set, times x^(1/4) if q has bit 0 set: multiplies and at most
+/// two square roots, one at alpha = 3. Otherwise std::pow.
+class GainPower {
+ public:
+  explicit GainPower(double alpha)
+      : quarters_(alpha <= 16.0 && 2.0 * alpha == std::round(2.0 * alpha)
+                      ? static_cast<int>(2.0 * alpha)
+                      : -1),
+        half_alpha_(0.5 * alpha) {}
+
+  [[nodiscard]] double operator()(double x) const {
+    if (quarters_ < 0) return std::pow(x, half_alpha_);
+    double v = (quarters_ & 2) != 0 ? std::sqrt(x) : 1.0;
+    if ((quarters_ & 1) != 0) v *= std::sqrt(std::sqrt(x));
+    for (int i = 0; i < quarters_ / 4; ++i) v *= x;
+    return v;
+  }
+
+ private:
+  int quarters_;  ///< 2 * alpha, or -1 when pow is needed
+  double half_alpha_;
+};
+
+/// Sum of a[i] * x[i] with four accumulators, so the adds pipeline.
+double dot(const double* a, const double* x, std::size_t n) noexcept {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * x[i];
+    s1 += a[i + 1] * x[i + 1];
+    s2 += a[i + 2] * x[i + 2];
+    s3 += a[i + 3] * x[i + 3];
+  }
+  for (; i < n; ++i) s0 += a[i] * x[i];
+  return (s0 + s1) + (s2 + s3);
+}
+
+/// The noise-free power iteration of power_control_feasible_log2 (k >= 3,
+/// no shared node) run on linear values: one gather of the endpoints, one
+/// square root per gain entry (alpha = 3), plain multiply-adds after that.
+/// Same start (all ones), the same acceptance and stopping rules and the
+/// same returned vector, so verdicts and iteration counts agree with the
+/// log-space kernel. Returns nullopt when an entry or iterate leaves the
+/// [kLinearMin, kLinearMax] window (d = 0, extreme length ratios); the
+/// caller then runs the log-space kernel.
+std::optional<PowerControlResult> power_control_linear(
+    const geom::LinkView& links, std::span<const std::size_t> set,
+    const SinrParams& params, const PowerControlOptions& options) {
+  const std::size_t k = set.size();
+  // Sender x/y, receiver x/y and squared length of each link, gathered once.
+  std::vector<double> cols(5 * k);
+  double* const sx = cols.data();
+  double* const sy = sx + k;
+  double* const rx = sy + k;
+  double* const ry = rx + k;
+  double* const len2 = ry + k;
+  for (std::size_t a = 0; a < k; ++a) {
+    const geom::Point& s = links.sender_pos(set[a]);
+    const geom::Point& r = links.receiver_pos(set[a]);
+    sx[a] = s.x;
+    sy[a] = s.y;
+    rx[a] = r.x;
+    ry[a] = r.y;
+    const double len = links.length(set[a]);
+    len2[a] = len * len;
+  }
+
+  // M_ab = beta * (l_a^2 / d_ba^2)^(alpha/2), row-major, zero diagonal. The
+  // build also yields M * (all ones), the first iteration's product.
+  const GainPower gain(params.alpha);
+  const double beta = params.beta;
+  const auto m = std::make_unique_for_overwrite<double[]>(k * k);
+  std::vector<double> x(k, 1.0), y(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    double* const row = m.get() + a * k;
+    const double rxa = rx[a], rya = ry[a], len2a = len2[a];
+    bool in_range = true;
+    double sum = 0.0;
+    const auto fill = [&](std::size_t b0, std::size_t b1) {
+      for (std::size_t b = b0; b < b1; ++b) {
+        const double dx = sx[b] - rxa;
+        const double dy = sy[b] - rya;
+        const double v = beta * gain(len2a / (dx * dx + dy * dy));
+        in_range &= (v >= kLinearMin) & (v <= kLinearMax);
+        row[b] = v;
+        sum += v;
+      }
+    };
+    fill(0, a);
+    row[a] = 0.0;
+    fill(a + 1, k);
+    if (!in_range) return std::nullopt;
+    y[a] = sum;
+  }
+
+  PowerControlResult result;
+  double rho_upper = kInf;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    ++result.iterations;
+    if (iter > 0) {
+      for (std::size_t a = 0; a < k; ++a) {
+        y[a] = dot(m.get() + a * k, x.data(), k);
+      }
+    }
+    double max_ratio = 0.0;
+    double max_y = 0.0;
+    double min_y = kInf;
+    for (std::size_t a = 0; a < k; ++a) {
+      max_ratio = std::max(max_ratio, y[a] / x[a]);
+      max_y = std::max(max_y, y[a]);
+      min_y = std::min(min_y, y[a]);
+    }
+    if (!(min_y >= kLinearMin && max_y <= kLinearMax)) return std::nullopt;
+    const double new_upper = max_ratio;
+    const bool upper_conclusive = new_upper < 1.0 - options.strictness;
+    const bool converged =
+        std::isfinite(rho_upper) &&
+        std::abs(new_upper - rho_upper) <=
+            options.tolerance * std::max(1.0, rho_upper);
+    rho_upper = new_upper;
+    if (upper_conclusive && iter > 0) break;
+    if (!(min_y / max_y >= kLinearMin)) return std::nullopt;
+    for (std::size_t a = 0; a < k; ++a) x[a] = y[a] / max_y;
+    if (converged) break;
+  }
+  result.spectral_radius = rho_upper;
+  if (rho_upper < 1.0 - options.strictness) {
+    result.log2_power.resize(k);
+    for (std::size_t a = 0; a < k; ++a) result.log2_power[a] = std::log2(x[a]);
+    result.feasible = true;
+  }
+  return result;
+}
+
 }  // namespace
 
 PowerControlResult power_control_feasible(const geom::LinkView& links,
                                           std::span<const std::size_t> set,
                                           const SinrParams& params,
                                           const PowerControlOptions& options) {
+  params.validate();
+  if (params.noise <= 0.0 && set.size() >= 3 && !has_shared_node(links, set)) {
+    if (auto result = power_control_linear(links, set, params, options)) {
+      return *std::move(result);
+    }
+  }
+  return power_control_feasible_log2(links, set, params, options);
+}
+
+PowerControlResult power_control_feasible_log2(
+    const geom::LinkView& links, std::span<const std::size_t> set,
+    const SinrParams& params, const PowerControlOptions& options) {
   params.validate();
   PowerControlResult result;
   if (set.empty()) {
@@ -207,6 +365,12 @@ PowerControlResult power_control_feasible(const geom::LinkView& links,
     // ratio drops below the feasibility threshold we can stop: the current
     // iterate is itself a certified power vector (each link's load is at
     // most the max ratio). Ambiguous spectra iterate up to the budget.
+    if (std::find(m.begin(), m.end(), kInf) != m.end()) {
+      // A sender on another link's receiver (d = 0): that link's load is
+      // infinite under any power. Iterating would normalize inf - inf.
+      result.spectral_radius = kInf;
+      return result;
+    }
     std::vector<double> v(k, 0.0), w(k, -kInf), terms(k);
     double rho_upper = kInf;
     for (int iter = 0; iter < options.max_iterations; ++iter) {

@@ -55,11 +55,21 @@ struct FeasibilityReport {
 /// no fixed P): a set S admits a power vector P > 0 satisfying all SINR
 /// constraints iff the spectral radius of the normalized gain matrix
 ///   M_ij = beta * (l_i / d_ji)^alpha   (i != j), M_ii = 0
-/// is below 1. Decided by power iteration performed entirely in log2 space
-/// (log-sum-exp) so the doubly-exponential instances do not overflow.
+/// is below 1. Decided by power iteration from the all-ones vector, accepted
+/// through the Collatz–Wielandt bound max_i (Mx)_i / x_i < 1 - strictness.
 /// When feasible, the (log2) Perron vector is returned: it is itself a valid
 /// power assignment with slack 1/rho, i.e. the output of a global power
 /// control algorithm in the Foschini–Miljanic family.
+///
+/// Noise-free sets of k >= 3 links run the iteration on linear values: when
+/// 2 * alpha is an integer each gain entry costs multiplies and at most two
+/// square roots (one at alpha = 3), and each step is a plain matrix-vector
+/// product. The matrix lives only for the call. A set whose entries or
+/// normalized iterates leave [2^-900, 2^900] (coincident points,
+/// doubly-exponential chains), a set with noise, and k == 2 take the
+/// log-space kernel power_control_feasible_log2 instead. Both kernels share
+/// the start vector, the acceptance and stopping rules and the returned
+/// vector, so their verdicts and iteration counts agree.
 struct PowerControlResult {
   bool feasible = false;
   /// Spectral radius estimate of M; feasible iff < 1 and no shared node.
@@ -80,6 +90,15 @@ struct PowerControlOptions {
 };
 
 [[nodiscard]] PowerControlResult power_control_feasible(
+    const geom::LinkView& links, std::span<const std::size_t> set,
+    const SinrParams& params, const PowerControlOptions& options = {});
+
+/// The log-space kernel: the same decision, with the power iteration run
+/// entirely in log2 space (log-sum-exp), so doubly-exponential instances do
+/// not overflow. With noise it also runs the Foschini–Miljanic fixed point
+/// and certifies the vector through check_feasible. power_control_feasible
+/// falls back to it; tests use it as the reference for the linear kernel.
+[[nodiscard]] PowerControlResult power_control_feasible_log2(
     const geom::LinkView& links, std::span<const std::size_t> set,
     const SinrParams& params, const PowerControlOptions& options = {});
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstddef>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "conflict/conflict_index.h"
@@ -479,6 +480,71 @@ TEST(DynamicPlanner, BadMutationMidBatchThenGoodEpochRecovers) {
   EXPECT_TRUE(after_bulk.audit_tree_match);
   EXPECT_TRUE(after_bulk.audit_store_match);
   EXPECT_TRUE(after_bulk.audit_index_match);
+}
+
+/// Regression: an add or move onto an alive node's exact position used to
+/// be accepted. It left a zero-length tree link, and every later epoch,
+/// the reconcile_full recovery included, threw "LinkStore: length must be
+/// positive". Such a mutation now throws before the tree changes, on the
+/// per-mutation and the bulk path, and the session carries on.
+TEST(DynamicPlanner, CoincidentMutationIsRejectedAndSessionRecovers) {
+  const auto points = workload::make_family("uniform", 256, 3);
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kOblivious);
+  options.audit = true;
+  DynamicPlanner planner(points, options);
+  const auto expect_clean = [](const EpochReport& report) {
+    EXPECT_TRUE(report.valid) << "epoch " << report.epoch;
+    EXPECT_TRUE(report.audit_valid) << "epoch " << report.epoch;
+    EXPECT_TRUE(report.audit_tree_match) << "epoch " << report.epoch;
+    EXPECT_TRUE(report.audit_store_match) << "epoch " << report.epoch;
+    EXPECT_TRUE(report.audit_index_match) << "epoch " << report.epoch;
+  };
+
+  EXPECT_THROW((void)planner.apply(Mutation{Mutation::Kind::kAdd, -1,
+                                            points[5]}),
+               std::invalid_argument);
+  EXPECT_EQ(planner.epoch(), 0u);
+  EXPECT_EQ(planner.num_nodes(), points.size());
+  for (NodeId node = 10; node < 13; ++node) {
+    const geom::Point to{points[node].x + 0.125, points[node].y};
+    expect_clean(planner.apply(Mutation{Mutation::Kind::kMove, node, to}));
+  }
+
+  // A move onto another node's point is rejected; a move onto the node's
+  // own point, and an add merely close to a node, are legal.
+  EXPECT_THROW(
+      (void)planner.apply(Mutation{Mutation::Kind::kMove, 7, points[8]}),
+      std::invalid_argument);
+  expect_clean(planner.apply(Mutation{Mutation::Kind::kMove, 9, points[9]}));
+  const geom::Point beside{std::nextafter(points[5].x, 1e9), points[5].y};
+  expect_clean(planner.apply(Mutation{Mutation::Kind::kAdd, -1, beside}));
+
+  // Bulk path (deferred tree updates): the coincident add sits mid-batch,
+  // on a point that an earlier mutation of the same batch occupied.
+  std::vector<Mutation> bulk;
+  for (int i = 0; i < 40; ++i) {
+    bulk.push_back({Mutation::Kind::kAdd, -1, {3.0 + 0.01 * i, 7.0}});
+  }
+  bulk.push_back({Mutation::Kind::kAdd, -1, bulk[20].position});
+  EXPECT_THROW((void)planner.apply(bulk), std::invalid_argument);
+  const geom::Point up{points[20].x, points[20].y + 0.25};
+  expect_clean(planner.apply(Mutation{Mutation::Kind::kMove, 20, up}));
+}
+
+TEST(DynamicPlanner, RejectsCoincidentInitialPoints) {
+  auto points = workload::make_family("uniform", 32, 4);
+  points[17] = points[4];
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  try {
+    DynamicPlanner planner(points, options);
+    ADD_FAILURE() << "coincident initial points were accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("initial points 4 and 17 coincide"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 /// Regression: a FAILED epoch loses its touched-node list, and the recovery

@@ -4,6 +4,7 @@
 #include <limits>
 #include <vector>
 
+#include "core/planner.h"
 #include "geom/linkset.h"
 #include "instance/basic.h"
 #include "instance/lowerbound.h"
@@ -281,6 +282,161 @@ TEST(PowerControl, EmptyAndSingleton) {
   const auto res = power_control_feasible(ls, solo, params());
   EXPECT_TRUE(res.feasible);
   EXPECT_DOUBLE_EQ(res.spectral_radius, 0.0);
+}
+
+/// Final slots of a global-power plan plus first-fit probes (a slot and one
+/// outside link with no shared node), the sets repair and verify hand to
+/// the oracle.
+std::vector<std::vector<std::size_t>> slots_and_probes(
+    const geom::LinkSet& links, const SinrParams& prm, std::uint64_t seed) {
+  core::PlannerConfig config;
+  config.sinr = prm;
+  config.power_mode = core::PowerMode::kGlobal;
+  const auto plan = core::schedule_links(links, config);
+  util::Rng rng(seed);
+  std::vector<std::vector<std::size_t>> sets;
+  for (const auto& slot : plan.schedule.slots) {
+    sets.push_back(slot);
+    for (int probe = 0; probe < 4; ++probe) {
+      auto set = slot;
+      set.push_back(rng.below(links.size()));
+      if (!has_shared_node(links, set)) sets.push_back(std::move(set));
+    }
+  }
+  return sets;
+}
+
+bool same_result(const PowerControlResult& a, const PowerControlResult& b) {
+  return a.feasible == b.feasible && a.shared_node == b.shared_node &&
+         a.iterations == b.iterations &&
+         a.spectral_radius == b.spectral_radius &&
+         a.log2_power == b.log2_power;
+}
+
+TEST(PowerControl, LinearKernelAgreesWithLogSpaceKernel) {
+  // The linear kernel must reach the log-space kernel's verdict after the
+  // same number of iterations, with the same spectral radius up to
+  // rounding, on the sets the planner actually asks about — rejects
+  // included. alpha = 3 takes one square root per entry, 2.5 a fourth
+  // root, 4 none, and 2.7 (2 * alpha not an integer) std::pow.
+  struct Case {
+    const char* name;
+    geom::Pointset points;
+    double alpha;
+  };
+  const std::vector<Case> cases = {
+      {"uniform", instance::uniform_square(700, 100.0, 5), 3.0},
+      {"clustered", instance::clustered(12, 40, 100.0, 2.0, 6), 3.0},
+      {"exponential-chain", instance::exponential_chain(40, 1.6), 3.0},
+      {"uniform-alpha2.5", instance::uniform_square(400, 100.0, 7), 2.5},
+      {"uniform-alpha4", instance::uniform_square(400, 100.0, 8), 4.0},
+      {"uniform-alpha2.7", instance::uniform_square(400, 100.0, 9), 2.7},
+  };
+  int accepts = 0, rejects = 0, bitwise_different = 0;
+  for (const auto& c : cases) {
+    const auto prm = params(c.alpha, 1.0);
+    const auto tree = mst::mst_tree(c.points, 0);
+    for (const auto& set : slots_and_probes(tree.links, prm, 11)) {
+      const auto fast = power_control_feasible(tree.links, set, prm);
+      const auto ref = power_control_feasible_log2(tree.links, set, prm);
+      ASSERT_EQ(fast.feasible, ref.feasible) << c.name << " k=" << set.size();
+      ASSERT_EQ(fast.iterations, ref.iterations)
+          << c.name << " k=" << set.size();
+      if (std::isfinite(ref.spectral_radius)) {
+        EXPECT_NEAR(fast.spectral_radius, ref.spectral_radius,
+                    1e-12 * ref.spectral_radius)
+            << c.name << " k=" << set.size();
+      } else {
+        EXPECT_EQ(fast.spectral_radius, ref.spectral_radius) << c.name;
+      }
+      if (fast.feasible) {
+        ASSERT_EQ(fast.log2_power.size(), set.size());
+        const auto power = embed_slot_power(tree.links, set, fast);
+        EXPECT_TRUE(check_feasible(tree.links, set, prm, power).feasible)
+            << c.name << " k=" << set.size();
+        ++accepts;
+      } else {
+        ++rejects;
+      }
+      if (set.size() >= 3 && !same_result(fast, ref)) ++bitwise_different;
+    }
+  }
+  EXPECT_GE(accepts, 30);
+  EXPECT_GE(rejects, 10);
+  // The kernels round differently, so results that match to the last bit
+  // everywhere would mean the linear kernel never ran.
+  EXPECT_GT(bitwise_different, 0);
+}
+
+TEST(PowerControl, OutOfRangeSetsTakeTheLogSpaceKernel) {
+  // Sets whose gain entries leave [2^-900, 2^900] must return exactly the
+  // log-space kernel's result.
+  const auto expect_log_space = [](const geom::LinkView& links,
+                                   const std::vector<std::size_t>& set,
+                                   const SinrParams& prm, const char* name) {
+    const auto fast = power_control_feasible(links, set, prm);
+    const auto ref = power_control_feasible_log2(links, set, prm);
+    EXPECT_TRUE(same_result(fast, ref)) << name;
+    return fast;
+  };
+
+  // Doubly-exponential chain: every other MST link (no shared node); the
+  // length ratios reach 2^256 and more, far outside the window at alpha 3.
+  {
+    const auto prm = params(3.0, 1.0);
+    const auto n = instance::max_doubly_exponential_size(0.5, 3.0, 1.0);
+    const auto chain = instance::doubly_exponential_chain(n, 0.5, 3.0, 1.0);
+    const auto tree = mst::mst_tree(chain.points, 0);
+    std::vector<std::size_t> alternate;
+    for (std::size_t i = 0; i < tree.links.size(); i += 2) {
+      alternate.push_back(i);
+    }
+    ASSERT_GE(alternate.size(), 3u);
+    expect_log_space(tree.links, alternate, prm, "doubly-exponential chain");
+  }
+
+  // 1e-9 and 1e9 extents in one set: three short links at the origin and
+  // one long link 1e9 away. At alpha = 3 the entries stay inside the
+  // window (at most (1e18)^3 ~ 2^180), so the linear kernel keeps them; at
+  // alpha = 40 they leave it.
+  {
+    const geom::Pointset pts{{0, 0},   {1e-9, 0},      {0, 1e-6},
+                             {1e-9, 1e-6}, {1e-6, 0},  {1e-6, 1e-9},
+                             {1e9, 0}, {1e9, 1e9}};
+    const geom::LinkSet ls(pts, {geom::Link{0, 1}, geom::Link{2, 3},
+                                 geom::Link{4, 5}, geom::Link{6, 7}});
+    const std::vector<std::size_t> all{0, 1, 2, 3};
+    const auto prm3 = params(3.0, 1.0);
+    const auto fast = power_control_feasible(ls, all, prm3);
+    const auto ref = power_control_feasible_log2(ls, all, prm3);
+    EXPECT_EQ(fast.feasible, ref.feasible);
+    EXPECT_EQ(fast.iterations, ref.iterations);
+    EXPECT_NEAR(fast.spectral_radius, ref.spectral_radius,
+                1e-12 * ref.spectral_radius);
+    expect_log_space(ls, all, params(40.0, 1.0), "1e+-9 extents, alpha 40");
+  }
+
+  // d = 0: the sender of link 1 sits on the receiver of link 0 (distinct
+  // nodes, same position), so M_01 is infinite and no power can help.
+  {
+    const geom::Pointset pts{{0, 0}, {1, 0}, {1, 0}, {2, 0}, {50, 50},
+                             {51, 50}};
+    const geom::LinkSet ls(pts, {geom::Link{0, 1}, geom::Link{2, 3},
+                                 geom::Link{4, 5}});
+    const std::vector<std::size_t> all{0, 1, 2};
+    const auto res = expect_log_space(ls, all, params(), "d = 0");
+    EXPECT_FALSE(res.feasible);
+  }
+
+  // Noise always takes the log-space kernel (it certifies through
+  // check_feasible after a Foschini–Miljanic pass).
+  {
+    const auto tree = mst::mst_tree(instance::uniform_square(60, 100.0, 3), 0);
+    const auto prm = params(3.0, 1.0, 1e-9);
+    for (const auto& set : slots_and_probes(tree.links, prm, 4)) {
+      expect_log_space(tree.links, set, prm, "noise");
+    }
+  }
 }
 
 TEST(Interference, OperatorBasics) {
