@@ -3,26 +3,15 @@
 // table runs audited sessions (the audit's from-scratch replan doubles as
 // the fair full-replan baseline on identical per-epoch pointsets) and
 // reports incremental vs full wall clock and the resulting speedup across
-// churn rates. Speedups are reported, not gated: at high churn the dirty
-// set approaches the instance and the two columns legitimately converge.
+// churn rates and instance families. Speedups are reported, not gated: at
+// high churn the dirty set approaches the instance and the two columns
+// legitimately converge. The gated churn session, and the per-layer splits
+// at scale, live in wagg_bench.
 
 #include "bench_common.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
-#include <memory>
-
-#include "conflict/fgraph.h"
 #include "dynamic/dynamic_planner.h"
 #include "dynamic/mutation.h"
-#include "mst/mst.h"
-#include "obs/bench.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-#include "util/clock.h"
-#include "util/stats.h"
 
 namespace wagg {
 namespace {
@@ -31,40 +20,13 @@ struct SessionCost {
   double incremental_ms = 0.0;  ///< sum over epochs, audit excluded
   double full_ms = 0.0;         ///< sum of the audit's from-scratch replans
   double conflict_ms = 0.0;     ///< conflict layer: index upkeep + queries
-  double conflict_maintain_ms = 0.0;
-  double conflict_query_ms = 0.0;
-  double mst_ms = 0.0;          ///< tree layer: dynamic-tree updates + orient
-  double mst_update_ms = 0.0;
-  double orient_ms = 0.0;
   std::size_t epochs = 0;
-  std::size_t dirty_links = 0;   ///< sum over epochs
   std::size_t full_replans = 0;  ///< epochs that hit the fallback
   bool all_valid = true;
 };
 
-/// Folds one epoch report into the running session cost (shared by the
-/// study tables and the smoke gate so both always measure the same
-/// quantities).
-void accumulate(SessionCost& cost, const dynamic::EpochReport& report) {
-  cost.incremental_ms += report.timings.incremental_ms();
-  cost.full_ms += report.audit_full_ms;
-  cost.conflict_ms += report.timings.conflict_ms;
-  cost.conflict_maintain_ms += report.timings.conflict_maintain_ms;
-  cost.conflict_query_ms += report.timings.conflict_query_ms;
-  cost.mst_ms += report.timings.mst_ms();
-  cost.mst_update_ms += report.timings.mst_update_ms;
-  cost.orient_ms += report.timings.orient_ms;
-  cost.dirty_links += report.dirty_links;
-  cost.all_valid = cost.all_valid && report.valid &&
-                   (!report.audited ||
-                    (report.audit_valid && report.audit_tree_match &&
-                     report.audit_store_match && report.audit_index_match));
-  if (report.full_replan) ++cost.full_replans;
-  ++cost.epochs;
-}
-
-SessionCost run_session(const std::string& family, std::size_t n, double rate,
-                        std::size_t epochs, bool audit) {
+SessionCost run_session(const std::string& family, std::size_t n,
+                        double rate, std::size_t epochs) {
   dynamic::ChurnParams params;
   params.epochs = epochs;
   params.rate = rate;
@@ -73,12 +35,18 @@ SessionCost run_session(const std::string& family, std::size_t n, double rate,
 
   dynamic::DynamicOptions options;
   options.config = workload::mode_config(core::PowerMode::kGlobal);
-  options.audit = audit;
+  options.audit = true;
   dynamic::DynamicPlanner planner(points, options);
 
   SessionCost cost;
   for (const auto& epoch : trace) {
-    accumulate(cost, planner.apply(epoch));
+    const auto report = planner.apply(epoch);
+    cost.incremental_ms += report.timings.incremental_ms();
+    cost.full_ms += report.audit_full_ms;
+    cost.conflict_ms += report.timings.conflict_ms;
+    cost.all_valid = cost.all_valid && report.valid && report.audit_ok();
+    if (report.full_replan) ++cost.full_replans;
+    ++cost.epochs;
   }
   return cost;
 }
@@ -96,7 +64,7 @@ void print_table() {
   for (const std::string family : {"uniform", "cluster", "noisygrid"}) {
     for (const std::size_t n : {256u, 1024u}) {
       for (const double rate : {0.01, 0.05, 0.2}) {
-        const auto cost = run_session(family, n, rate, 12, true);
+        const auto cost = run_session(family, n, rate, 12);
         const double incr =
             cost.incremental_ms / static_cast<double>(cost.epochs);
         const double full = cost.full_ms / static_cast<double>(cost.epochs);
@@ -117,477 +85,10 @@ void print_table() {
   t.print(std::cout);
 }
 
-/// The conflict-index acceptance configuration: unaudited large sessions at
-/// low churn, reporting the conflict layer's per-epoch cost split into
-/// persistent-index maintenance vs dirty-row queries. Before the index this
-/// column was an O(n) per-epoch grid rebuild plus un-pruned row queries
-/// (~8.5 ms/epoch at n=2048 / 1% churn); the standing grids cut it >= 2x.
-void print_conflict_scale_table() {
-  bench::print_header(
-      "E13: persistent conflict index at scale",
-      "Per-epoch conflict-layer cost (index maintenance + dirty-row\n"
-      "queries) under low churn. Maintenance rides the store's mutation\n"
-      "stream; queries touch only dirty rows, so neither column rebuilds\n"
-      "anything per epoch.");
-  util::Table t({"family", "n", "rate", "epochs", "dirty/epoch",
-                 "incr ms/epoch", "cfl ms/epoch", "maintain ms", "query ms",
-                 "valid"});
-  for (const std::size_t n : {1024u, 2048u}) {
-    const auto cost = run_session("uniform", n, 0.01, 8, false);
-    const auto epochs = static_cast<double>(cost.epochs);
-    t.row()
-        .cell("uniform")
-        .cell(n)
-        .cell(0.01, 2)
-        .cell(cost.epochs)
-        .cell(static_cast<double>(cost.dirty_links) / epochs, 1)
-        .cell(cost.incremental_ms / epochs, 3)
-        .cell(cost.conflict_ms / epochs, 3)
-        .cell(cost.conflict_maintain_ms / epochs, 3)
-        .cell(cost.conflict_query_ms / epochs, 3)
-        .cell(cost.all_valid ? "yes" : "NO");
-  }
-  t.print(std::cout);
-}
-
-/// Best-of-a-few from-scratch Prim wall clock over the planner's final
-/// snapshot — what a non-incremental engine would pay per epoch for the
-/// tree alone.
-double prim_baseline_ms(const geom::Pointset& points) {
-  double baseline = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = util::Clock::now();
-    const auto edges = mst::euclidean_mst(points);
-    benchmark::DoNotOptimize(edges.size());
-    baseline = std::min(baseline, util::ms_since(start));
-  }
-  return baseline;
-}
-
-/// The dynamic-tree MST engine's acceptance configuration: low-churn
-/// sessions at growing scale, reporting the tree layer's per-epoch cost
-/// split into dynamic-tree updates vs orientation replay, against the
-/// from-scratch Prim the pre-dtree engine effectively approached (its
-/// merge-Kruskal attach walked the whole weight-ordered tree per
-/// mutation). The gap must WIDEN with n — that is the point of going
-/// polylog.
-void print_mst_scale_table() {
-  bench::print_header(
-      "E14: dynamic-tree MST engine at scale",
-      "Per-epoch tree-layer cost (IncrementalMst dynamic-tree updates +\n"
-      "orientation-diff replay) under 1% churn, against a from-scratch\n"
-      "Prim run on the same final instance. The speedup column should grow\n"
-      "with n: updates are polylog while Prim is quadratic.");
-  util::Table t({"family", "n", "rate", "epochs", "mst ms/epoch",
-                 "update ms", "orient ms", "prim ms", "speedup", "valid"});
-  for (const std::size_t n : {1024u, 2048u, 8192u}) {
-    const auto cost = run_session("uniform", n, 0.01, n > 4096 ? 5 : 8,
-                                  false);
-    const auto epochs = static_cast<double>(cost.epochs);
-    // The baseline Prim runs on an equally-sized fresh instance (the
-    // session's node count drifts only a few percent from n).
-    const double prim =
-        prim_baseline_ms(workload::make_family("uniform", n, 3));
-    const double mst = cost.mst_ms / epochs;
-    t.row()
-        .cell("uniform")
-        .cell(n)
-        .cell(0.01, 2)
-        .cell(cost.epochs)
-        .cell(mst, 3)
-        .cell(cost.mst_update_ms / epochs, 3)
-        .cell(cost.orient_ms / epochs, 3)
-        .cell(prim, 3)
-        .cell(mst > 0.0 ? prim / mst : 0.0, 1)
-        .cell(cost.all_valid ? "yes" : "NO");
-  }
-  t.print(std::cout);
-}
-
-void BM_IncrementalEpoch(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const double rate = static_cast<double>(state.range(1)) / 100.0;
-  dynamic::ChurnParams params;
-  params.epochs = 1;
-  params.rate = rate;
-  const auto points = workload::make_family("uniform", n, 3);
-  const auto trace = dynamic::make_churn_trace(points, params, 17);
-
-  dynamic::DynamicOptions options;
-  options.config = workload::mode_config(core::PowerMode::kGlobal);
-  for (auto _ : state) {
-    // The initial full plan is set up off the clock; only the incremental
-    // epoch is timed. (Traces are keyed to the initial pointset's stable
-    // ids, so each iteration replays the same epoch on a fresh session.)
-    state.PauseTiming();
-    dynamic::DynamicPlanner planner(points, options);
-    state.ResumeTiming();
-    const auto report = planner.apply(trace.front());
-    benchmark::DoNotOptimize(report.slots);
-  }
-}
-BENCHMARK(BM_IncrementalEpoch)
-    ->Args({512, 2})
-    ->Args({512, 10})
-    ->Args({2048, 1})  // the stable-id LinkStore acceptance configuration
-    ->Args({2048, 2})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_FullReplanEpoch(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto points = workload::make_family("uniform", n, 3);
-  const auto cfg = workload::mode_config(core::PowerMode::kGlobal);
-  for (auto _ : state) {
-    const auto plan = core::plan_aggregation(points, cfg);
-    benchmark::DoNotOptimize(plan.scheduling.schedule.length());
-  }
-}
-BENCHMARK(BM_FullReplanEpoch)->Arg(512)->Arg(2048)->Unit(
-    benchmark::kMillisecond);
-
-/// CI gate (--smoke): audited low-churn sessions must stay valid, avoid
-/// the full-replan fallback, and beat the from-scratch baseline by a solid
-/// margin. A regression that drags epoch cost back toward O(n) fails the
-/// job instead of landing silently; the threshold sits well below the
-/// current ~3x so scheduler noise on shared runners cannot flake it.
-///
-/// Noise protocol: --warmup sessions run first and are discarded (cold
-/// caches, frequency ramp), then --repeat identical sessions are measured
-/// and every timing gate reads the MEDIAN across them — one descheduled
-/// session cannot flip a verdict the way the old single-session gate
-/// could. Validity/fallback gates stay all-sessions (correctness is not a
-/// noise quantity).
-///
-/// The session also gates the conflict layer: its per-epoch cost (index
-/// maintenance + dirty-row queries) must undercut a from-scratch
-/// conflict_neighbors_bucketed call answering the same average dirty set —
-/// the O(n) rebuild every pre-index epoch paid. Measuring the budget on the
-/// same machine in the same process keeps the gate hardware-relative, so a
-/// regression that quietly reintroduces per-epoch rebuild work fails CI
-/// without the flakiness of an absolute-milliseconds threshold.
-///
-/// The per-epoch budget numbers (mst_ms, conflict_ms, epoch_ms) are read
-/// from the obs::Registry metrics JSON — serialized and re-parsed through
-/// the same schema the CLIs export — so the gate certifies the
-/// machine-readable telemetry end-to-end, not a private accumulator. The
-/// legacy EpochTimings accumulation is kept alongside as a cross-check: the
-/// two must agree, or the "thin view" contract broke. A final gate bounds
-/// the tracing-DISABLED overhead at <= 2% of the measured epoch cost.
-int run_smoke(const std::string& trace_path, const std::string& metrics_path,
-              std::size_t repeats, std::size_t warmups) {
-  constexpr double kMinSpeedup = 1.4;
-  // With the diff-maintained row cache the conflict layer runs at ~0.2x the
-  // rebuild baseline on a quiet machine (mostly maintain-side patching; the
-  // query side is all cache hits). Losing the cache alone puts it back at
-  // ~0.5-0.75x, reinstating the O(n) rebuild at >= 1.5x. 0.45 fails both
-  // regressions with ~2x headroom over the healthy level for runner noise.
-  constexpr double kMaxConflictShare = 0.45;  ///< of the rebuild baseline
-  // Same construction for the tree layer: the dynamic-tree engine runs at
-  // a small fraction of a from-scratch Prim on a quiet machine, while the
-  // pre-dtree merge-Kruskal engine sat well above it at this size. 0.9
-  // fails any regression that drags per-mutation cost back toward O(n)
-  // without flaking on shared runners.
-  constexpr double kMaxMstShare = 0.9;  ///< of the from-scratch Prim baseline
-  const std::size_t n = 512;
-  dynamic::ChurnParams params;
-  params.epochs = 8;
-  params.rate = 0.01;
-  const auto points = workload::make_family("uniform", n, 3);
-  const auto trace = dynamic::make_churn_trace(points, params, 17);
-
-  dynamic::DynamicOptions options;
-  options.config = workload::mode_config(core::PowerMode::kGlobal);
-  options.audit = true;
-
-  for (std::size_t w = 0; w < warmups; ++w) {
-    dynamic::DynamicPlanner warm(points, options);
-    for (const auto& epoch : trace) (void)warm.apply(epoch);
-  }
-
-  repeats = std::max<std::size_t>(1, repeats);
-  std::vector<SessionCost> sessions;
-  std::vector<double> epoch_times;  // last session, legacy cross-check
-  std::unique_ptr<dynamic::DynamicPlanner> planner;
-  for (std::size_t r = 0; r < repeats; ++r) {
-    const bool last = r + 1 == repeats;
-    planner = std::make_unique<dynamic::DynamicPlanner>(points, options);
-    // Window the registry on the gated epochs: the construction full plan
-    // would otherwise dominate the histograms (same convention as
-    // wagg_churn). The JSON cross-checks below read the LAST window, whose
-    // SessionCost we kept alongside.
-    obs::Registry::global().reset();
-    if (last && !trace_path.empty()) obs::Tracer::global().enable();
-    SessionCost cost;
-    epoch_times.clear();
-    for (const auto& epoch : trace) {
-      const auto report = planner->apply(epoch);
-      accumulate(cost, report);
-      epoch_times.push_back(report.timings.incremental_ms());
-    }
-    sessions.push_back(cost);
-  }
-  const SessionCost& cost = sessions.back();
-  const auto epochs = static_cast<double>(cost.epochs);
-  const auto median_over = [&sessions](auto per_session) {
-    std::vector<double> values;
-    values.reserve(sessions.size());
-    for (const auto& s : sessions) values.push_back(per_session(s));
-    return obs::median_of(std::move(values));
-  };
-  const auto per_epoch_incr = [](const SessionCost& s) {
-    return s.incremental_ms / static_cast<double>(s.epochs);
-  };
-  const double incr = median_over(per_epoch_incr);
-  const double full = median_over([](const SessionCost& s) {
-    return s.full_ms / static_cast<double>(s.epochs);
-  });
-  const double speedup = median_over([&](const SessionCost& s) {
-    const double i = per_epoch_incr(s);
-    return i > 0.0 ? (s.full_ms / static_cast<double>(s.epochs)) / i : 0.0;
-  });
-  bool all_valid = true;
-  std::size_t total_fallbacks = 0;
-  for (const auto& s : sessions) {
-    all_valid = all_valid && s.all_valid;
-    total_fallbacks += s.full_replans;
-  }
-
-  // ---- machine-readable gate inputs: serialize the registry to the same
-  // JSON the CLIs export, re-parse it, and gate on the PARSED numbers ----
-  const std::string metrics_json =
-      obs::Registry::global().snapshot().to_json();
-  if (!metrics_path.empty()) obs::write_text_file(metrics_path, metrics_json);
-  if (!trace_path.empty()) {
-    obs::Tracer::global().disable();
-    obs::export_trace(trace_path);
-  }
-  const auto parsed = obs::MetricsSnapshot::from_json(metrics_json);
-  const auto& epoch_hist = parsed.histograms.at("dynamic.epoch_ms");
-  const auto& mst_hist = parsed.histograms.at("dynamic.mst_ms");
-  const auto& conflict_hist = parsed.histograms.at("dynamic.conflict_ms");
-  const std::uint64_t json_fallbacks =
-      parsed.counters.at("dynamic.full_replans");
-  const double conflict = conflict_hist.mean();
-  const obs::SummaryRow lat = epoch_hist.row();
-
-  // Rebuild baseline: answer the session's average dirty set from scratch
-  // against the final snapshot (pays the per-call grid build the index
-  // avoids). Best of a few repetitions to shed scheduler noise.
-  const auto& links = planner->snapshot().links;
-  const auto spec = core::spec_for_mode(options.config);
-  std::vector<std::size_t> queries(
-      std::min(links.size(),
-               std::max<std::size_t>(
-                   1, cost.dirty_links / std::max<std::size_t>(1,
-                                                               cost.epochs))));
-  for (std::size_t i = 0; i < queries.size(); ++i) queries[i] = i;
-  double baseline = std::numeric_limits<double>::infinity();
-  for (int rep = 0; rep < 5; ++rep) {
-    const auto start = util::Clock::now();
-    const auto rows =
-        conflict::conflict_neighbors_bucketed(links, spec, queries);
-    benchmark::DoNotOptimize(rows.size());
-    baseline = std::min(baseline, util::ms_since(start));
-  }
-
-  // Tree-layer budget: per-epoch MST cost against a from-scratch Prim on
-  // the same final instance (the per-epoch tree bill of a non-incremental
-  // engine). Gates read session MEDIANS; `conflict`/`mst` stay the last
-  // window's parsed values for the JSON cross-checks below.
-  const double mst = mst_hist.mean();
-  const double conflict_med = median_over([](const SessionCost& s) {
-    return s.conflict_ms / static_cast<double>(s.epochs);
-  });
-  const double mst_med = median_over([](const SessionCost& s) {
-    return s.mst_ms / static_cast<double>(s.epochs);
-  });
-  const double prim_baseline = prim_baseline_ms(planner->snapshot().points);
-
-  std::cout << "smoke: uniform n=" << n << " rate=0.01 epochs=" << cost.epochs
-            << " sessions=" << repeats << " (+" << warmups
-            << " warmup), gating medians\n";
-  std::cout << "smoke: incr=" << incr << " ms/epoch full=" << full
-            << " ms/epoch speedup=" << speedup
-            << "x conflict=" << conflict_med << " ms/epoch ("
-            << median_over([](const SessionCost& s) {
-                 return s.conflict_maintain_ms / static_cast<double>(s.epochs);
-               })
-            << " maintain / "
-            << median_over([](const SessionCost& s) {
-                 return s.conflict_query_ms / static_cast<double>(s.epochs);
-               })
-            << " query, rebuild baseline " << baseline
-            << ") mst=" << mst_med << " ms/epoch ("
-            << median_over([](const SessionCost& s) {
-                 return s.mst_update_ms / static_cast<double>(s.epochs);
-               })
-            << " update / "
-            << median_over([](const SessionCost& s) {
-                 return s.orient_ms / static_cast<double>(s.epochs);
-               })
-            << " orient, Prim baseline "
-            << prim_baseline << ") fallbacks=" << total_fallbacks
-            << " valid=" << (all_valid ? "yes" : "NO") << "\n";
-  std::cout << "smoke: epoch latency (metrics JSON) p50=" << lat.p50
-            << " p95=" << lat.p95 << " mean=" << lat.mean
-            << " max=" << lat.max << " ms\n";
-
-  // ---- thin-view cross-checks: the parsed JSON must describe the same
-  // session the legacy EpochTimings accumulation saw ----
-  const auto rel_diff = [](double a, double b) {
-    return std::abs(a - b) / std::max({1e-12, std::abs(a), std::abs(b)});
-  };
-  // (Pinned to the LAST session — the registry window the JSON serialized —
-  // not the cross-session medians the gates read.)
-  if (epoch_hist.count() != cost.epochs ||
-      json_fallbacks != cost.full_replans ||
-      rel_diff(mst, cost.mst_ms / epochs) > 1e-9 ||
-      rel_diff(conflict, cost.conflict_ms / epochs) > 1e-9 ||
-      rel_diff(epoch_hist.mean(), per_epoch_incr(cost)) > 1e-9) {
-    std::cout << "smoke FAILED: metrics JSON disagrees with EpochTimings "
-                 "(count/mean/fallback mismatch) — the registry is no "
-                 "longer a faithful view of the pipeline\n";
-    return 1;
-  }
-  // Quantiles: log-bucketed values must sit within the documented relative
-  // error of the exact order statistic at the same rank.
-  std::sort(epoch_times.begin(), epoch_times.end());
-  for (const double p : {50.0, 95.0}) {
-    const auto rank = static_cast<std::size_t>(
-        p / 100.0 * static_cast<double>(epoch_times.size() - 1));
-    const double exact = epoch_times[rank];
-    if (rel_diff(epoch_hist.quantile(p), exact) >
-        obs::Histogram::kMaxRelativeError + 1e-12) {
-      std::cout << "smoke FAILED: histogram p" << p << " "
-                << epoch_hist.quantile(p) << " strays more than "
-                << obs::Histogram::kMaxRelativeError
-                << " from the exact order statistic " << exact << "\n";
-      return 1;
-    }
-  }
-
-  if (!all_valid) {
-    std::cout << "smoke FAILED: an epoch lost validity or audit "
-                 "equivalence\n";
-    return 1;
-  }
-  if (total_fallbacks != 0) {
-    std::cout << "smoke FAILED: low-churn epochs hit the full-replan "
-                 "fallback\n";
-    return 1;
-  }
-  if (speedup < kMinSpeedup) {
-    std::cout << "smoke FAILED: median incremental speedup " << speedup
-              << "x < " << kMinSpeedup << "x floor\n";
-    return 1;
-  }
-  if (conflict_med > kMaxConflictShare * baseline) {
-    std::cout << "smoke FAILED: conflict layer " << conflict_med
-              << " ms/epoch (median) exceeds " << kMaxConflictShare
-              << "x the from-scratch rebuild baseline (" << baseline
-              << " ms) — the index is no longer O(dirty)\n";
-    return 1;
-  }
-  if (mst_med > kMaxMstShare * prim_baseline) {
-    std::cout << "smoke FAILED: MST layer " << mst_med
-              << " ms/epoch (median) exceeds " << kMaxMstShare
-              << "x the from-scratch Prim baseline (" << prim_baseline
-              << " ms) — tree updates are no longer localized\n";
-    return 1;
-  }
-
-  // ---- tracing-disabled overhead gate: instrumentation left in the hot
-  // path must cost <= 2% of an epoch when nobody is tracing ----
-  // Count the spans one epoch actually opens (briefly enabled replay on a
-  // fresh session), then price them at the measured disabled-span cost.
-  // The product, not a full timed rerun, is what's asserted: epoch wall
-  // clocks on shared runners are far noisier than 2%.
-  obs::Tracer::global().enable();
-  std::uint64_t spans_per_epoch = 0;
-  {
-    dynamic::DynamicOptions probe_options = options;
-    probe_options.audit = false;  // gate the steady-state epoch, not audit
-    dynamic::DynamicPlanner probe(points, probe_options);
-    const std::uint64_t before = obs::Tracer::global().recorded_events();
-    (void)probe.apply(trace.front());
-    spans_per_epoch = obs::Tracer::global().recorded_events() - before;
-  }
-  obs::Tracer::global().disable();
-  obs::Tracer::global().clear();
-
-  constexpr int kSpanReps = 1'000'000;
-  const auto span_start = util::Clock::now();
-  for (int i = 0; i < kSpanReps; ++i) {
-    obs::Span probe_span("overhead-probe");
-    benchmark::DoNotOptimize(&probe_span);
-  }
-  const double per_span_ms = util::ms_since(span_start) / kSpanReps;
-  const double overhead_ms =
-      per_span_ms * static_cast<double>(spans_per_epoch);
-  const double overhead_budget_ms = 0.02 * epoch_hist.mean();
-  std::cout << "smoke: tracing-disabled overhead " << overhead_ms
-            << " ms/epoch (" << spans_per_epoch << " spans x " << per_span_ms
-            << " ms), budget " << overhead_budget_ms << " (2% of epoch)\n";
-  if (overhead_ms > overhead_budget_ms) {
-    std::cout << "smoke FAILED: disabled tracing costs " << overhead_ms
-              << " ms/epoch > 2% of the " << epoch_hist.mean()
-              << " ms epoch — the disabled span path is no longer one "
-                 "relaxed load\n";
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 }  // namespace wagg
 
-int main(int argc, char** argv) {
-  // --smoke: skip the (slow) study table, run the CI gate, then whatever
-  // benchmarks the remaining flags select (CI passes a tiny
-  // --benchmark_min_time so regressions surface without burning minutes).
-  // --repeat= / --warmup= set the smoke gate's median-of-k protocol;
-  // --trace= / --metrics-json= write the last smoke session's Perfetto
-  // trace and registry snapshot (uploaded as CI artifacts). All are
-  // consumed here — google-benchmark rejects flags it does not know.
-  bool smoke = false;
-  std::string trace_path;
-  std::string metrics_path;
-  std::size_t repeats = 3;
-  std::size_t warmups = 1;
-  for (int i = 1; i < argc;) {
-    const std::string arg(argv[i]);
-    bool consumed = true;
-    if (arg == "--smoke") {
-      smoke = true;
-    } else if (arg.rfind("--trace=", 0) == 0) {
-      trace_path = arg.substr(8);
-    } else if (arg.rfind("--metrics-json=", 0) == 0) {
-      metrics_path = arg.substr(15);
-    } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeats = static_cast<std::size_t>(std::stoul(arg.substr(9)));
-    } else if (arg.rfind("--warmup=", 0) == 0) {
-      warmups = static_cast<std::size_t>(std::stoul(arg.substr(9)));
-    } else {
-      consumed = false;
-    }
-    if (consumed) {
-      for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-      --argc;
-    } else {
-      ++i;
-    }
-  }
-  int gate = 0;
-  if (smoke) {
-    gate = wagg::run_smoke(trace_path, metrics_path, repeats, warmups);
-    if (gate != 0) return gate;
-  } else {
-    wagg::print_table();
-    wagg::print_conflict_scale_table();
-    wagg::print_mst_scale_table();
-  }
-  std::cout << "\n";
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  wagg::print_table();
   return 0;
 }

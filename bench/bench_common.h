@@ -3,7 +3,7 @@
 
 // Shared helpers for the experiment harness. Every bench binary prints the
 // paper-shaped table(s) for its experiment (see the experiment index in
-// README.md) and then runs its google-benchmark timings.
+// README.md); most then run google-benchmark timings.
 //
 // Instance families and mode defaults live in the workload registry
 // (src/workload/workload.h); benches call workload::make_family and

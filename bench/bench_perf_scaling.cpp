@@ -1,10 +1,11 @@
 // E12 — engineering performance: wall-clock scaling of each pipeline stage
-// and the naive vs bucket-grid conflict-graph ablation. Not a paper claim;
+// and the naive vs indexed conflict-graph ablation. Not a paper claim;
 // documents that the library is usable at laptop scale.
 
 #include "bench_common.h"
 
 #include "coloring/coloring.h"
+#include "conflict/conflict_index.h"
 #include "conflict/fgraph.h"
 #include "mst/tree.h"
 #include "schedule/repair.h"
@@ -37,24 +38,24 @@ void BM_ConflictNaive(benchmark::State& state) {
 BENCHMARK(BM_ConflictNaive)->RangeMultiplier(4)->Range(256, 4096)
     ->Unit(benchmark::kMillisecond);
 
-void BM_ConflictBucketed(benchmark::State& state) {
+void BM_ConflictIndexed(benchmark::State& state) {
   const auto pts = workload::make_family(
       "uniform", static_cast<std::size_t>(state.range(0)), 1);
   const auto tree = mst::mst_tree(pts, 0);
   const auto spec = conflict::ConflictSpec::logarithmic(2.0, 3.0);
   for (auto _ : state) {
-    const auto g = conflict::build_conflict_graph_bucketed(tree.links, spec);
+    const auto g = conflict::build_conflict_graph_indexed(tree.links, spec);
     benchmark::DoNotOptimize(g.num_edges());
   }
 }
-BENCHMARK(BM_ConflictBucketed)->RangeMultiplier(4)->Range(256, 16384)
+BENCHMARK(BM_ConflictIndexed)->RangeMultiplier(4)->Range(256, 16384)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GreedyColoring(benchmark::State& state) {
   const auto pts = workload::make_family(
       "uniform", static_cast<std::size_t>(state.range(0)), 1);
   const auto tree = mst::mst_tree(pts, 0);
-  const auto g = conflict::build_conflict_graph_bucketed(
+  const auto g = conflict::build_conflict_graph_indexed(
       tree.links, conflict::ConflictSpec::logarithmic(2.0, 3.0));
   const auto order = tree.links.by_decreasing_length();
   for (auto _ : state) {
@@ -84,7 +85,7 @@ int main(int argc, char** argv) {
   wagg::bench::print_header(
       "E12: library performance scaling",
       "google-benchmark timings; see the counters below. BM_Conflict* is the\n"
-      "naive-vs-bucketed ablation from DESIGN.md.");
+      "naive-vs-indexed conflict-graph ablation.");
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   return 0;

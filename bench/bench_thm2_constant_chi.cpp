@@ -6,7 +6,7 @@
 
 #include "coloring/coloring.h"
 #include "coloring/refinement.h"
-#include "conflict/fgraph.h"
+#include "conflict/conflict_index.h"
 #include "mst/tree.h"
 #include "sinr/interference.h"
 
@@ -28,7 +28,7 @@ void print_table() {
       const auto tree = mst::mst_tree(pts, 0);
       const double lemma1 = sinr::lemma1_statistic(tree.links, 3.0);
       const auto refinement = coloring::firstfit_refinement(tree.links, 3.0);
-      const auto g1 = conflict::build_conflict_graph_bucketed(
+      const auto g1 = conflict::build_conflict_graph_indexed(
           tree.links, conflict::ConflictSpec::constant(1.0));
       const auto colors =
           coloring::greedy_color(g1, tree.links.by_decreasing_length());
@@ -62,7 +62,7 @@ void BM_G1Coloring(benchmark::State& state) {
   const auto pts =
       workload::make_family("uniform", static_cast<std::size_t>(state.range(0)), 1);
   const auto tree = mst::mst_tree(pts, 0);
-  const auto g1 = conflict::build_conflict_graph_bucketed(
+  const auto g1 = conflict::build_conflict_graph_indexed(
       tree.links, conflict::ConflictSpec::constant(1.0));
   const auto order = tree.links.by_decreasing_length();
   for (auto _ : state) {

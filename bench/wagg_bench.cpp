@@ -7,9 +7,17 @@
 //   ./wagg_bench --repeat=5 --warmup=1 --out=BENCH_2026-08-08.json
 //   ./wagg_bench --quick                          # small matrix (CI smoke)
 //   ./wagg_bench --profile-out=profile.txt        # per-stage self-time tables
+//   ./wagg_bench --quick --trace=t.json --metrics-json=m.json
+//                                                 # + churn gate artifacts
 //   ./wagg_bench --compare old.json new.json      # noise-aware verdicts
 //   ./wagg_bench --compare old.json new.json --portable-only
 //   ./wagg_bench --profile trace.json             # offline span profile
+//
+// Every suite run first runs the churn gate (run_churn_gate): audited
+// low-churn sessions whose validity, fallback, speedup, per-layer budget,
+// registry-JSON and tracing-overhead checks fail the run. --trace= and
+// --metrics-json= write the gate's span trace and its last session's
+// registry snapshot.
 //
 // The matrix: static batch families, churn sessions at n x rate (including
 // grow:/shrink: size-varying schedules), and a PlanService session-
@@ -73,6 +81,8 @@ struct SuiteOptions {
   std::string profile_out;
   std::string label;
   std::size_t top_k = 12;
+  std::string trace_path;    ///< churn gate: span trace of its sessions
+  std::string metrics_path;  ///< churn gate: last session's registry JSON
 };
 
 // --------------------------------------------------------------- scenarios
@@ -99,6 +109,25 @@ struct ChurnSpec {
   }
 };
 
+/// The session's initial points and mutation trace. Every churn scenario
+/// and the churn gate draw points with seed 3 and the trace with seed 17.
+struct ChurnSession {
+  geom::Pointset points;
+  dynamic::ChurnTrace trace;
+};
+
+ChurnSession make_churn_session(const ChurnSpec& spec) {
+  dynamic::ChurnParams params;
+  params.epochs = spec.epochs;
+  params.rate = spec.rate;
+  params.grow_rate = spec.grow;
+  params.shrink_rate = spec.shrink;
+  ChurnSession session;
+  session.points = workload::make_family(spec.family, spec.n, 3);
+  session.trace = dynamic::make_churn_trace(session.points, params, 17);
+  return session;
+}
+
 struct ChurnRepeat {
   double epoch_ms = 0.0;
   double mst_update_ms = 0.0;
@@ -107,10 +136,21 @@ struct ChurnRepeat {
   double conflict_query_ms = 0.0;
   double recolor_ms = 0.0;
   double repair_ms = 0.0;
+  double full_ms = 0.0;  ///< audited sessions: the audit's full replan
+  std::vector<double> epoch_samples;  ///< incremental_ms of each epoch
+  /// From-scratch baselines measured right after the session, on its final
+  /// snapshot (measure_churn fills them).
+  double prim_ms = 0.0;
+  double rebuild_ms = 0.0;
   std::size_t dirty_links = 0;
   std::size_t epochs = 0;
   std::size_t fallbacks = 0;
-  bool valid = true;
+  bool valid = true;  ///< every epoch valid, and every audit clean
+
+  [[nodiscard]] double mst_ms() const { return mst_update_ms + orient_ms; }
+  [[nodiscard]] double conflict_ms() const {
+    return conflict_maintain_ms + conflict_query_ms;
+  }
 };
 
 /// Applies the whole trace to a fresh-session planner, returning per-epoch
@@ -119,9 +159,10 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
                              const dynamic::ChurnTrace& trace) {
   ChurnRepeat result;
   double epoch_sum = 0.0, mst_update = 0.0, orient = 0.0, maintain = 0.0,
-         query = 0.0, recolor = 0.0, repair = 0.0;
+         query = 0.0, recolor = 0.0, repair = 0.0, full = 0.0;
   for (const auto& epoch : trace) {
     const auto report = planner.apply(epoch);
+    result.epoch_samples.push_back(report.timings.incremental_ms());
     epoch_sum += report.timings.incremental_ms();
     mst_update += report.timings.mst_update_ms;
     orient += report.timings.orient_ms;
@@ -129,8 +170,9 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
     query += report.timings.conflict_query_ms;
     recolor += report.timings.recolor_ms;
     repair += report.timings.repair_ms;
+    full += report.audit_full_ms;
     result.dirty_links += report.dirty_links;
-    result.valid = result.valid && report.valid;
+    result.valid = result.valid && report.valid && report.audit_ok();
     if (report.full_replan) ++result.fallbacks;
     ++result.epochs;
   }
@@ -143,6 +185,7 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
   result.conflict_query_ms = query / epochs;
   result.recolor_ms = recolor / epochs;
   result.repair_ms = repair / epochs;
+  result.full_ms = full / epochs;
   return result;
 }
 
@@ -180,6 +223,37 @@ double conflict_rebuild_baseline_ms(const dynamic::DynamicPlanner& planner,
   return best;
 }
 
+/// Runs `warmup` discarded sessions, then `repeats` measured ones on fresh
+/// planners. Each measured session gets its own registry window (the
+/// construction full plan would dominate the histograms), so the registry
+/// ends holding the last one.
+std::vector<ChurnRepeat> measure_churn(const ChurnSession& session,
+                                       const dynamic::DynamicOptions& options,
+                                       std::size_t warmup,
+                                       std::size_t repeats) {
+  for (std::size_t i = 0; i < warmup; ++i) {
+    dynamic::DynamicPlanner planner(session.points, options);
+    do_not_optimize(run_churn_epochs(planner, session.trace).epoch_ms);
+  }
+  std::vector<ChurnRepeat> measured;
+  for (std::size_t i = 0; i < repeats; ++i) {
+    dynamic::DynamicPlanner planner(session.points, options);
+    obs::Registry::global().reset();
+    auto repeat = run_churn_epochs(planner, session.trace);
+    // Measure the from-scratch baselines inside the repeat, seconds from
+    // the incremental numbers they normalize: a host-regime shift then
+    // scales both sides of each share and cancels. One late measurement
+    // bakes a single denominator sample into every repeat, hiding its
+    // run-to-run noise from the MAD entirely.
+    repeat.prim_ms = prim_baseline_ms(planner.snapshot().points);
+    repeat.rebuild_ms = conflict_rebuild_baseline_ms(
+        planner, options.config,
+        repeat.dirty_links / std::max<std::size_t>(1, repeat.epochs));
+    measured.push_back(std::move(repeat));
+  }
+  return measured;
+}
+
 struct ScenarioRun {
   obs::BenchScenario scenario;
   std::string profile_table;
@@ -193,44 +267,12 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
   run.scenario.name = spec.name();
   run.scenario.kind = "churn";
 
-  dynamic::ChurnParams params;
-  params.epochs = spec.epochs;
-  params.rate = spec.rate;
-  params.grow_rate = spec.grow;
-  params.shrink_rate = spec.shrink;
-  const auto points = workload::make_family(spec.family, spec.n, 3);
-  const auto trace = dynamic::make_churn_trace(points, params, 17);
-
+  const auto session = make_churn_session(spec);
   dynamic::DynamicOptions options;
   options.config = workload::mode_config(core::PowerMode::kGlobal);
-
-  for (std::size_t i = 0; i < suite.warmup; ++i) {
-    dynamic::DynamicPlanner planner(points, options);
-    const auto warm = run_churn_epochs(planner, trace);
-    do_not_optimize(warm.epoch_ms);
-  }
-
-  std::vector<ChurnRepeat> measured;
-  std::vector<double> prim_baselines, rebuild_baselines;
-  for (std::size_t i = 0; i < suite.repeats; ++i) {
-    auto planner = std::make_unique<dynamic::DynamicPlanner>(points, options);
-    // Window the registry on the mutation epochs (the construction full
-    // plan would dominate the histograms).
-    obs::Registry::global().reset();
-    measured.push_back(run_churn_epochs(*planner, trace));
-    run.valid = run.valid && measured.back().valid;
-    // Measure the from-scratch baselines inside the repeat, seconds from
-    // the incremental numbers they normalize: a host-regime shift then
-    // scales both sides of each share and cancels. One late measurement
-    // (the old shape) bakes a single denominator sample into every
-    // repeat, hiding its run-to-run noise from the MAD entirely.
-    const std::size_t avg_dirty =
-        measured.back().dirty_links /
-        std::max<std::size_t>(1, measured.back().epochs);
-    prim_baselines.push_back(prim_baseline_ms(planner->snapshot().points));
-    rebuild_baselines.push_back(
-        conflict_rebuild_baseline_ms(*planner, options.config, avg_dirty));
-  }
+  const auto measured =
+      measure_churn(session, options, suite.warmup, suite.repeats);
+  for (const auto& repeat : measured) run.valid = run.valid && repeat.valid;
   run.scenario.registry = obs::Registry::global().snapshot();
 
   const auto column = [&measured](auto getter) {
@@ -257,20 +299,13 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
   // Portable ratios: per-epoch incremental stage cost over an in-process
   // from-scratch baseline measured on the same host, same build, same
   // instant — the only numbers a baseline recorded on other hardware can
-  // fairly gate. Each repeat carries its own baseline sample (see the
-  // repeat loop), so the ratio's MAD reflects denominator noise too.
+  // fairly gate. Each repeat carries its own baseline sample (see
+  // measure_churn), so the ratio's MAD reflects denominator noise too.
   std::vector<double> mst_share, conflict_share;
-  for (std::size_t i = 0; i < measured.size(); ++i) {
-    const auto& r = measured[i];
-    mst_share.push_back(prim_baselines[i] > 0.0
-                            ? (r.mst_update_ms + r.orient_ms) /
-                                  prim_baselines[i]
-                            : 0.0);
+  for (const auto& r : measured) {
+    mst_share.push_back(r.prim_ms > 0.0 ? r.mst_ms() / r.prim_ms : 0.0);
     conflict_share.push_back(
-        rebuild_baselines[i] > 0.0
-            ? (r.conflict_maintain_ms + r.conflict_query_ms) /
-                  rebuild_baselines[i]
-            : 0.0);
+        r.rebuild_ms > 0.0 ? r.conflict_ms() / r.rebuild_ms : 0.0);
   }
   run.scenario.metrics.emplace(
       "mst_share",
@@ -286,9 +321,9 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
   // profiler guarantees (exclusive self-times tile the root epoch spans).
   {
     obs::Tracer::global().enable();
-    dynamic::DynamicPlanner planner(points, options);
+    dynamic::DynamicPlanner planner(session.points, options);
     obs::Tracer::global().clear();  // window the trace on mutation epochs
-    const auto profiled = run_churn_epochs(planner, trace);
+    const auto profiled = run_churn_epochs(planner, session.trace);
     do_not_optimize(profiled.epoch_ms);
     obs::Tracer::global().disable();
     const auto profile = obs::profile_global_tracer();
@@ -536,6 +571,175 @@ ScenarioRun run_serve_scenario(std::size_t sessions, std::size_t n,
   return run;
 }
 
+// -------------------------------------------------------------- churn gate
+
+/// The churn CI gate, run first by every suite run: audited low-churn
+/// sessions must pass every check below, so a regression that drags epoch
+/// cost back toward O(n), or breaks the telemetry that reports it, fails
+/// the run instead of landing silently. Timing checks read the MEDIAN of
+/// three sessions after a discarded warmup, so one descheduled session
+/// cannot flip a verdict; validity checks read every session. The budgets
+/// are from-scratch baselines measured in the same process, which keeps
+/// them hardware-relative. The span trace of the gate's sessions and the
+/// last session's registry snapshot go to the suite's --trace= /
+/// --metrics-json= paths, when given.
+bool run_churn_gate(const SuiteOptions& suite) {
+  constexpr std::size_t kSessions = 3;
+  constexpr double kMinSpeedup = 1.4;  ///< over the audit's full replan
+  // The row-cached conflict layer runs at ~0.2x the rebuild baseline on a
+  // quiet machine; losing the cache puts it at ~0.5-0.75x and an O(n)
+  // rebuild at >= 1.5x. 0.45 fails both with ~2x headroom for runner noise.
+  constexpr double kMaxConflictShare = 0.45;
+  // The dynamic-tree engine runs at a small fraction of a from-scratch
+  // Prim; the pre-dtree merge-Kruskal engine sat well above it at this size.
+  constexpr double kMaxMstShare = 0.9;
+  constexpr double kMaxTraceOverhead = 0.02;  ///< of an epoch, tracing off
+  const ChurnSpec spec{"uniform", 512, 0.01, 0.0, 0.0, 8};
+  const auto session = make_churn_session(spec);
+  dynamic::DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  options.audit = true;
+
+  if (!suite.trace_path.empty()) obs::Tracer::global().enable();
+  const auto sessions = measure_churn(session, options, 1, kSessions);
+  const ChurnRepeat& last = sessions.back();
+  const auto median = [&sessions](double (*get)(const ChurnRepeat&)) {
+    std::vector<double> values;
+    for (const auto& r : sessions) values.push_back(get(r));
+    return obs::median_of(std::move(values));
+  };
+  const double incr = median([](const ChurnRepeat& r) { return r.epoch_ms; });
+  const double full = median([](const ChurnRepeat& r) { return r.full_ms; });
+  const double speedup = median([](const ChurnRepeat& r) {
+    return r.epoch_ms > 0.0 ? r.full_ms / r.epoch_ms : 0.0;
+  });
+  const double conflict =
+      median([](const ChurnRepeat& r) { return r.conflict_ms(); });
+  const double mst = median([](const ChurnRepeat& r) { return r.mst_ms(); });
+  bool valid = true;
+  std::size_t fallbacks = 0;
+  for (const auto& r : sessions) {
+    valid = valid && r.valid;
+    fallbacks += r.fallbacks;
+  }
+
+  const std::string metrics_json =
+      obs::Registry::global().snapshot().to_json();
+  if (!suite.metrics_path.empty()) {
+    obs::write_text_file(suite.metrics_path, metrics_json);
+  }
+  if (!suite.trace_path.empty()) {
+    obs::Tracer::global().disable();
+    obs::export_trace(suite.trace_path);
+  }
+  // The telemetry checks read the PARSED JSON, the bytes a dashboard would
+  // scrape: it must describe the last session exactly, and its log-bucketed
+  // quantiles must sit within the documented error of the exact order
+  // statistics.
+  const auto parsed = obs::MetricsSnapshot::from_json(metrics_json);
+  const auto& epoch_hist = parsed.histograms.at("dynamic.epoch_ms");
+  const auto rel_diff = [](double a, double b) {
+    return std::abs(a - b) / std::max({1e-12, std::abs(a), std::abs(b)});
+  };
+  const bool json_matches =
+      epoch_hist.count() == last.epochs &&
+      parsed.counters.at("dynamic.full_replans") == last.fallbacks &&
+      rel_diff(parsed.histograms.at("dynamic.mst_ms").mean(),
+               last.mst_ms()) <= 1e-9 &&
+      rel_diff(parsed.histograms.at("dynamic.conflict_ms").mean(),
+               last.conflict_ms()) <= 1e-9 &&
+      rel_diff(epoch_hist.mean(), last.epoch_ms) <= 1e-9;
+  auto samples = last.epoch_samples;
+  std::sort(samples.begin(), samples.end());
+  bool quantiles_match = true;
+  for (const double p : {50.0, 95.0}) {
+    const auto rank = static_cast<std::size_t>(
+        p / 100.0 * static_cast<double>(samples.size() - 1));
+    quantiles_match = quantiles_match &&
+                      rel_diff(epoch_hist.quantile(p), samples[rank]) <=
+                          obs::Histogram::kMaxRelativeError + 1e-12;
+  }
+
+  // Tracing-disabled overhead: count the spans one steady-state epoch opens
+  // (a briefly traced epoch of a fresh unaudited session), then price them
+  // at the measured cost of a disabled span. The product is what's checked:
+  // epoch wall clocks on shared runners are far noisier than 2%.
+  obs::Tracer::global().enable();
+  std::uint64_t spans_per_epoch = 0;
+  {
+    dynamic::DynamicOptions probe_options = options;
+    probe_options.audit = false;
+    dynamic::DynamicPlanner probe(session.points, probe_options);
+    const std::uint64_t before = obs::Tracer::global().recorded_events();
+    (void)probe.apply(session.trace.front());
+    spans_per_epoch = obs::Tracer::global().recorded_events() - before;
+  }
+  obs::Tracer::global().disable();
+  obs::Tracer::global().clear();
+  constexpr int kSpanReps = 1'000'000;
+  const auto span_start = util::Clock::now();
+  for (int i = 0; i < kSpanReps; ++i) {
+    obs::Span probe_span("overhead-probe");
+    do_not_optimize(probe_span);
+  }
+  const double per_span_ms = util::ms_since(span_start) / kSpanReps;
+  const double overhead_ms =
+      per_span_ms * static_cast<double>(spans_per_epoch);
+  const double overhead_budget_ms = kMaxTraceOverhead * epoch_hist.mean();
+
+  const obs::SummaryRow lat = epoch_hist.row();
+  std::cout << "gate: " << spec.name() << " epochs=" << last.epochs
+            << " audited, sessions=" << kSessions
+            << " (+1 warmup), gating medians\n"
+            << "gate: incr=" << incr << " ms/epoch full=" << full
+            << " ms/epoch speedup=" << speedup << "x conflict=" << conflict
+            << " ms/epoch ("
+            << median(
+                   [](const ChurnRepeat& r) { return r.conflict_maintain_ms; })
+            << " maintain / "
+            << median([](const ChurnRepeat& r) { return r.conflict_query_ms; })
+            << " query, rebuild baseline " << last.rebuild_ms << ") mst=" << mst
+            << " ms/epoch ("
+            << median([](const ChurnRepeat& r) { return r.mst_update_ms; })
+            << " update / "
+            << median([](const ChurnRepeat& r) { return r.orient_ms; })
+            << " orient, Prim baseline " << last.prim_ms
+            << ") fallbacks=" << fallbacks
+            << " valid=" << (valid ? "yes" : "NO")
+            << "\ngate: epoch latency (metrics JSON) p50=" << lat.p50
+            << " p95=" << lat.p95 << " mean=" << lat.mean << " max=" << lat.max
+            << " ms\ngate: tracing-disabled overhead " << overhead_ms
+            << " ms/epoch (" << spans_per_epoch << " spans x " << per_span_ms
+            << " ms), budget " << overhead_budget_ms << " ("
+            << 100.0 * kMaxTraceOverhead << "% of epoch)\n";
+
+  const std::pair<bool, const char*> checks[] = {
+      {valid, "an epoch lost validity or audit equivalence"},
+      {fallbacks == 0, "low-churn epochs hit the full-replan fallback"},
+      {speedup >= kMinSpeedup, "median speedup under its floor"},
+      {conflict <= kMaxConflictShare * last.rebuild_ms,
+       "conflict layer over its share of the from-scratch rebuild baseline "
+       "— the index is no longer O(dirty)"},
+      {mst <= kMaxMstShare * last.prim_ms,
+       "MST layer over its share of the from-scratch Prim baseline — tree "
+       "updates are no longer localized"},
+      {json_matches,
+       "metrics JSON disagrees with EpochTimings (count/mean/fallback "
+       "mismatch) — the registry is no longer a faithful view"},
+      {quantiles_match,
+       "histogram p50/p95 stray from the exact order statistics"},
+      {overhead_ms <= overhead_budget_ms,
+       "disabled tracing over its share of an epoch — the disabled span "
+       "path is no longer one relaxed load"},
+  };
+  bool ok = true;
+  for (const auto& [pass, why] : checks) {
+    if (!pass) std::cout << "gate FAILED: " << why << "\n";
+    ok = ok && pass;
+  }
+  return ok;
+}
+
 // ------------------------------------------------------------------- suite
 
 std::string today_iso_date() {
@@ -612,6 +816,8 @@ int run_suite(const SuiteOptions& suite) {
   std::cout << "wagg_bench: " << (suite.quick ? "quick" : "full")
             << " matrix, repeat=" << suite.repeats
             << " warmup=" << suite.warmup << "\n\n";
+  const bool gate_ok = run_churn_gate(suite);
+  std::cout << "\n";
   for (const auto& [family, n] : statics) {
     ingest(run_static_scenario(family, n, suite));
   }
@@ -637,6 +843,11 @@ int run_suite(const SuiteOptions& suite) {
     std::cout << "profiles: " << suite.profile_out << "\n";
   }
 
+  if (!gate_ok) {
+    std::cout << "wagg_bench FAILED: the churn gate failed (see gate "
+                 "FAILED above)\n";
+    return 1;
+  }
   if (!all_valid) {
     std::cout << "wagg_bench FAILED: a scenario produced an invalid plan\n";
     return 1;
@@ -745,6 +956,8 @@ int main(int argc, char** argv) {
     suite.profile_out = args.get("profile-out", "");
     suite.label = args.get("label", "");
     suite.top_k = static_cast<std::size_t>(args.get_int("top", 12));
+    suite.trace_path = args.get("trace", "");
+    suite.metrics_path = args.get("metrics-json", "");
     return run_suite(suite);
   } catch (const std::exception& e) {
     std::cerr << "wagg_bench: " << e.what() << "\n";

@@ -119,10 +119,7 @@ int main(int argc, char** argv) {
       cache_mark = cache;
       if (options.audit) {
         row.cell(report.audit_full_ms, 2)
-            .cell(report.audit_valid && report.audit_tree_match &&
-                          report.audit_store_match && report.audit_index_match
-                      ? "yes"
-                      : "NO");
+            .cell(report.audit_ok() ? "yes" : "NO");
       }
     };
 
@@ -168,11 +165,7 @@ int main(int argc, char** argv) {
       power_cached += report.power_slots_cached;
       power_computed += report.power_slots_computed;
       if (report.full_replan) ++fallbacks;
-      all_valid = all_valid && report.valid &&
-                  (!report.audited || (report.audit_valid &&
-                                       report.audit_tree_match &&
-                                       report.audit_store_match &&
-                                       report.audit_index_match));
+      all_valid = all_valid && report.valid && report.audit_ok();
     }
     if (args.has("csv")) {
       table.print_csv(std::cout);

@@ -47,9 +47,9 @@ namespace wagg::conflict::detail {
 }
 
 /// Uniform grid over the link endpoints of one power-of-two length class.
-/// Values are link identifiers (dense indices for the one-shot builders,
-/// stable LinkIds for the persistent ConflictIndex); every link contributes
-/// exactly two entries, one per endpoint.
+/// Values are link identifiers (dense indices for conflict_neighbors_bucketed,
+/// LinkIds for ConflictIndex); every link contributes exactly two entries,
+/// one per endpoint.
 template <typename V>
 class ClassGrid {
  public:

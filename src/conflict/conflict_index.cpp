@@ -78,8 +78,8 @@ void ConflictIndex::collect_candidates(const geom::Point& sender,
     //   d(q, j) <= lmin_pair * f(lmax_pair / lmin_pair)
     // with lmin_pair <= min(lq, class_hi) and the ratio at most x_max;
     // f non-decreasing makes the radius an over-approximation of every
-    // pair. Guard formula matches the one-shot builders exactly so
-    // threshold ties agree across all three.
+    // pair. Guard formula matches conflict_neighbors_bucketed exactly so
+    // threshold ties agree across both.
     const double class_lo = std::exp2(static_cast<double>(cs));
     const double class_hi = 2.0 * class_lo;
     const double x_max = std::max({1.0, length / class_lo,
@@ -508,6 +508,30 @@ Graph ConflictIndex::build_graph(const geom::LinkView& links,
   for (std::size_t i = 0; i < rows.size(); ++i) {
     for (const std::int32_t j : rows[i]) {
       // Every edge surfaces from both endpoints; keep the i < j sighting.
+      if (static_cast<std::size_t>(j) > i) {
+        graph.add_edge(i, static_cast<std::size_t>(j));
+      }
+    }
+  }
+  graph.finalize();
+  return graph;
+}
+
+Graph build_conflict_graph_indexed(const geom::LinkView& links,
+                                   const ConflictSpec& spec) {
+  spec.validate();
+  ConflictIndex index;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    index.add(static_cast<geom::LinkId>(i), links.sender_pos(i),
+              links.receiver_pos(i), links.length(i));
+  }
+  index.cached_spec_ = spec;  // what compute_row evaluates against
+  Graph graph(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    // Ids are dense positions. Every edge surfaces from both endpoints;
+    // keep the i < j sighting.
+    for (const geom::LinkId j :
+         index.compute_row(static_cast<geom::LinkId>(i))) {
       if (static_cast<std::size_t>(j) > i) {
         graph.add_edge(i, static_cast<std::size_t>(j));
       }

@@ -77,22 +77,25 @@ struct ConflictIndexStats {
 };
 
 /// A persistent, mutation-aware version of the per-length-class bucket grids
-/// that build_conflict_graph_bucketed / conflict_neighbors_bucketed erect
-/// from scratch on every call. The index lives alongside a geom::LinkStore
-/// across epochs and is maintained under add / remove / update by stable
-/// LinkId, so a dynamic planner answers dirty-row conflict queries with ZERO
-/// per-epoch rebuild — O(dirty) queries against standing state instead of an
-/// O(n) grid construction.
+/// that conflict_neighbors_bucketed erects from scratch on every call, and
+/// the only code that builds G_f for planning. A dynamic planner keeps one
+/// alongside its geom::LinkStore across epochs, maintained under add /
+/// remove / update by stable LinkId, so it answers dirty-row conflict
+/// queries with ZERO per-epoch rebuild — O(dirty) queries against standing
+/// state instead of an O(n) grid construction. Static pipelines build their
+/// graph through build_conflict_graph_indexed, a throwaway index keyed by
+/// dense position.
 ///
 /// Length classes are anchored to ABSOLUTE lengths: class c holds links with
-/// length in [2^c, 2^(c+1)), cell size 2^c. The one-shot builders anchor to
-/// the instance's min_length, which drifts under churn — an absolute anchor
-/// means a link is re-classed only when ITS OWN length crosses a power of
-/// two (lazy re-classing: update() moves it between grids just then), never
-/// because some other link shrank the global minimum. Query radii are
-/// computed from each class's actual absolute bounds, so the answers are
-/// identical to the from-scratch builders (property-tested; audit mode
-/// cross-checks every epoch).
+/// length in [2^c, 2^(c+1)), cell size 2^c. conflict_neighbors_bucketed
+/// anchors to the instance's min_length, which drifts under churn — an
+/// absolute anchor means a link is re-classed only when ITS OWN length
+/// crosses a power of two (lazy re-classing: update() moves it between grids
+/// just then), never because some other link shrank the global minimum.
+/// Query radii are computed from each class's actual absolute bounds, so the
+/// answers are identical to build_conflict_graph and
+/// conflict_neighbors_bucketed (property-tested; audit mode cross-checks
+/// every epoch).
 ///
 /// On top of the grids the index keeps a MATERIALIZED ROW CACHE: the exact
 /// id-space conflict row of a link under the spec of the most recent query,
@@ -192,15 +195,20 @@ class ConflictIndex {
       std::span<const std::size_t> queries) const;
 
   /// The full conflict graph G_f assembled from index queries (one row per
-  /// link) — equal to build_conflict_graph_bucketed on the same view. Used
-  /// by full-replan fallbacks that already pay for an index so even the
-  /// fallback skips the from-scratch grid construction. Warms the row cache
-  /// as a side effect (every row materializes), which is what hands the
-  /// initial full plan's rows to the following incremental epochs.
+  /// link) — equal to build_conflict_graph on the same view. The dynamic
+  /// planner's initial plan and full-replan fallbacks use it, so they skip
+  /// any from-scratch grid construction. Warms the row cache as a side
+  /// effect (every row materializes), which is what hands the initial full
+  /// plan's rows to the following incremental epochs. Views that are not a
+  /// snapshot of the mirrored store go through build_conflict_graph_indexed
+  /// instead.
   [[nodiscard]] Graph build_graph(const geom::LinkView& links,
                                   const ConflictSpec& spec) const;
 
  private:
+  friend Graph build_conflict_graph_indexed(const geom::LinkView& links,
+                                            const ConflictSpec& spec);
+
   struct Entry {
     geom::Point sender{};
     geom::Point receiver{};
@@ -230,7 +238,7 @@ class ConflictIndex {
   [[nodiscard]] bool conflicting_entries(const Entry& a,
                                          const Entry& b) const;
   /// Deduplicated grid candidates around the given geometry (the same
-  /// two-sided class radius as the one-shot builders). May include the
+  /// two-sided class radius as conflict_neighbors_bucketed). May include the
   /// probing link's own id. `prune` additionally applies the squared
   /// distance prune (exact-row computation wants it; erase-target probing
   /// wants the raw superset).
@@ -303,6 +311,17 @@ class ConflictIndex {
   mutable detail::RelaxedCounter row_invalidations_;
   mutable detail::RelaxedCounter row_evictions_;
 };
+
+/// G_f of any view, built through a throwaway ConflictIndex — the planning
+/// entry point of every static pipeline (core::schedule_links without an
+/// index, distributed::distributed_schedule). Entries are keyed by DENSE
+/// POSITION, not by the view's ids: those need not increase (a subset view's
+/// may run 106, 99, 32, ...), and the answer is in dense indices anyway. No
+/// row is cached, since every row is computed exactly once. Equal to the
+/// brute-force build_conflict_graph, which stays as the test reference
+/// (property-tested).
+[[nodiscard]] Graph build_conflict_graph_indexed(const geom::LinkView& links,
+                                                 const ConflictSpec& spec);
 
 }  // namespace wagg::conflict
 

@@ -108,78 +108,6 @@ using DenseGrid = detail::ClassGrid<std::int32_t>;
 
 }  // namespace
 
-Graph build_conflict_graph_bucketed(const geom::LinkView& links,
-                                    const ConflictSpec& spec) {
-  spec.validate();
-  Graph graph(links.size());
-  if (links.size() < 2) {
-    graph.finalize();
-    return graph;
-  }
-  const double lmin = links.min_length();
-  double origin_x = links.points().empty() ? 0.0 : links.points()[0].x;
-  double origin_y = links.points().empty() ? 0.0 : links.points()[0].y;
-
-  // Length class of link i: floor(log2(l_i / lmin)).
-  auto class_of = [&](std::size_t i) {
-    return static_cast<int>(
-        std::floor(std::log2(links.length(i) / lmin)));
-  };
-
-  // Process links in non-decreasing length order; each link joins its class
-  // grid after querying all classes of shorter-or-equal links, so every
-  // conflicting pair is examined exactly once from its longer side.
-  const auto order = links.by_increasing_length();
-  std::map<int, DenseGrid> grids;
-  std::vector<std::int32_t> candidates;
-  for (const std::size_t i : order) {
-    const int ci = class_of(i);
-    const double li = links.length(i);
-    candidates.clear();
-    for (auto& [cs, grid] : grids) {
-      // Conflicting pair (i, j) with j in class cs (all already-inserted
-      // links are no longer than i, so lmin_pair = l_j >= 2^cs * lmin):
-      //   d(i, j) <= l_j * f(l_i / l_j) <= 2^(cs+1) lmin * f(x_max),
-      // with x_max the largest possible length ratio for the class pair.
-      const double class_lo = std::exp2(static_cast<double>(cs)) * lmin;
-      const double class_hi = 2.0 * class_lo;
-      const double x_max = std::max(1.0, li / class_lo);
-      // The 1e-12 * max(l_query, class_hi) term guards exact-boundary ties
-      // against rounding in the radius product. The SAME formula is used by
-      // conflict_neighbors_bucketed and ConflictIndex::neighbors, so a pair
-      // sitting exactly on the conflict threshold lands in the candidate set
-      // of all three (the exact predicate then decides membership
-      // identically) — with differing guards a tie could appear in the built
-      // graph but not in a queried row, or vice versa.
-      const double radius = std::min(class_hi, li) * spec.f(x_max) +
-                            1e-12 * std::max(li, class_hi);
-      // Endpoint-to-endpoint distance bound; query around both endpoints.
-      if (grid.query_cost(radius) >
-          static_cast<double>(grid.num_links()) + 64.0) {
-        // Scanning the class linearly is cheaper than walking cells.
-        grid.all(candidates);
-      } else {
-        grid.query(links.sender_pos(i), radius, candidates);
-        grid.query(links.receiver_pos(i), radius, candidates);
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    for (const std::int32_t j : candidates) {
-      if (spec.conflicting(links, i, static_cast<std::size_t>(j))) {
-        graph.add_edge(i, static_cast<std::size_t>(j));
-      }
-    }
-    auto [it, inserted] = grids.try_emplace(
-        ci, std::exp2(static_cast<double>(ci)) * lmin, origin_x, origin_y);
-    it->second.insert(links.sender_pos(i), static_cast<std::int32_t>(i));
-    it->second.insert(links.receiver_pos(i), static_cast<std::int32_t>(i));
-  }
-  graph.finalize();
-  return graph;
-}
-
 std::vector<std::vector<std::int32_t>> conflict_neighbors_bucketed(
     const geom::LinkView& links, const ConflictSpec& spec,
     std::span<const std::size_t> queries) {
@@ -194,8 +122,7 @@ std::vector<std::vector<std::int32_t>> conflict_neighbors_bucketed(
     return static_cast<int>(std::floor(std::log2(links.length(i) / lmin)));
   };
 
-  // Index EVERY link (unlike the builder, a query must see both shorter and
-  // longer partners).
+  // Index EVERY link: a query must see both shorter and longer partners.
   std::map<int, DenseGrid> grids;
   for (std::size_t i = 0; i < links.size(); ++i) {
     const int ci = class_of(i);
@@ -221,9 +148,8 @@ std::vector<std::vector<std::int32_t>> conflict_neighbors_bucketed(
       const double class_hi = 2.0 * class_lo;
       const double x_max =
           std::max({1.0, lq / class_lo, class_hi / lq});
-      // Exact-boundary tie guard: identical formula to the builder's (and
-      // ConflictIndex's), so the three candidate sets agree on threshold
-      // pairs.
+      // Exact-boundary tie guard: identical formula to ConflictIndex's, so
+      // both candidate sets agree on threshold pairs.
       const double radius =
           std::min(lq, class_hi) * spec.f(x_max) + 1e-12 * std::max(lq, class_hi);
       if (grid.query_cost(radius) >

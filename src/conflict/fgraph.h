@@ -46,26 +46,21 @@ struct ConflictSpec {
   static ConflictSpec logarithmic(double gamma, double alpha);
 };
 
-/// Builds G_f(L) by checking all O(n^2) pairs.
+/// Builds G_f(L) by checking all O(n^2) pairs: the test reference. Planning
+/// builds the same graph through build_conflict_graph_indexed
+/// (conflict/conflict_index.h).
 [[nodiscard]] Graph build_conflict_graph(const geom::LinkView& links,
                                          const ConflictSpec& spec);
 
-/// Builds the same graph using per-length-class bucket grids: links are
-/// partitioned into powers-of-two length classes, each class indexes its
-/// endpoints in a uniform grid, and each link queries only the grid cells
-/// that could contain a conflicting partner. Equal output to
-/// build_conflict_graph (property-tested); much faster on large low-diversity
-/// instances, and automatically no worse than naive on tiny ones.
-[[nodiscard]] Graph build_conflict_graph_bucketed(const geom::LinkView& links,
-                                                  const ConflictSpec& spec);
-
 /// Conflict adjacency for a SUBSET of links only: result[k] holds the
 /// (sorted, deduplicated) links conflicting with queries[k], computed
-/// against the whole link set through the same per-class bucket grids as
-/// build_conflict_graph_bucketed — equal to the corresponding rows of the
-/// full graph (property-tested). Cost is one O(n) index build plus
-/// output-sensitive queries, so callers that only need a few rows (the
-/// incremental planner's dirty set) avoid the full O(n^2 worst) rebuild.
+/// against the whole link set through per-length-class bucket grids built
+/// from scratch on every call — equal to the corresponding rows of the full
+/// graph (property-tested). No planner builds a schedule from it. It is a
+/// reference and a bench yardstick: the dynamic planner's audit mode checks
+/// the ConflictIndex rows against it (an implementation that shares no
+/// state with the index), and wagg_bench times it as the from-scratch
+/// rebuild that the gated conflict_share ratio divides by.
 [[nodiscard]] std::vector<std::vector<std::int32_t>>
 conflict_neighbors_bucketed(const geom::LinkView& links,
                             const ConflictSpec& spec,

@@ -103,10 +103,9 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
 
   auto stage_start = Clock::now();
   const conflict::Graph graph =
-      conflict_index ? conflict_index->build_graph(links, result.spec)
-      : config.bucketed_conflict
-          ? conflict::build_conflict_graph_bucketed(links, result.spec)
-          : conflict::build_conflict_graph(links, result.spec);
+      conflict_index
+          ? conflict_index->build_graph(links, result.spec)
+          : conflict::build_conflict_graph_indexed(links, result.spec);
   if (timings) timings->conflict_ms = ms_since(stage_start);
 
   stage_start = Clock::now();

@@ -57,8 +57,6 @@ struct PlannerConfig {
   /// Split any slot failing the exact SINR check (strongly recommended; the
   /// theory's "large enough" constants are not exact for any finite gamma).
   bool repair = true;
-  /// Use the bucket-grid conflict-graph builder.
-  bool bucketed_conflict = true;
   /// Node index that collects the aggregate.
   std::int32_t sink = 0;
 
@@ -131,8 +129,8 @@ struct WarmStart {
 /// seeded from it instead of computed from scratch. When `conflict_index` is
 /// non-null it must be the maintained index of the store `links` snapshots
 /// (dynamic::DynamicPlanner's), and the conflict graph is assembled from
-/// index queries instead of a from-scratch grid build — same graph, no O(n)
-/// construction.
+/// its queries; otherwise build_conflict_graph_indexed builds it — the same
+/// graph either way.
 [[nodiscard]] LinkScheduleResult schedule_links(
     const geom::LinkView& links, const PlannerConfig& config,
     StageTimings* timings = nullptr, const WarmStart* warm = nullptr,

@@ -5,6 +5,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "conflict/conflict_index.h"
 #include "util/rng.h"
 
 namespace wagg::distributed {
@@ -15,8 +16,8 @@ DistributedResult distributed_schedule(const geom::LinkView& links,
   if (links.empty()) {
     throw std::invalid_argument("distributed_schedule: empty link set");
   }
-  const conflict::Graph graph = conflict::build_conflict_graph(links,
-                                                               config.spec);
+  const conflict::Graph graph =
+      conflict::build_conflict_graph_indexed(links, config.spec);
   const double lmin = links.min_length();
   const double n_nodes = static_cast<double>(links.num_points());
   const double log_n = std::max(1.0, std::log2(n_nodes));

@@ -894,10 +894,7 @@ void DynamicPlanner::run_audit(EpochReport& report) {
 
   report.audited = true;
   report.timings.audit_ms = ms_since(audit_start);
-  if (!(report.audit_valid && report.audit_tree_match &&
-        report.audit_store_match && report.audit_index_match)) {
-    planner_metrics().audit_failures.add();
-  }
+  if (!report.audit_ok()) planner_metrics().audit_failures.add();
 }
 
 void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {

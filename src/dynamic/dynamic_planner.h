@@ -116,6 +116,14 @@ struct EpochReport {
   std::size_t audit_full_slots = 0;  ///< schedule length of the full replan
   double audit_full_rate = 0.0;
   double audit_full_ms = 0.0;        ///< wall clock of the full replan
+
+  /// True unless an audit ran and any of its four verdicts failed. Every
+  /// consumer that counts an epoch as verified reads this, so none can
+  /// check a subset of the verdicts.
+  [[nodiscard]] bool audit_ok() const noexcept {
+    return !audited || (audit_valid && audit_tree_match &&
+                        audit_store_match && audit_index_match);
+  }
 };
 
 /// Incremental planning session: wraps the paper's pipeline behind a

@@ -85,9 +85,7 @@ void execute_session_request(const PlanRequest& request,
   outcome.epochs = reports.size();
   bool all_valid = true;
   for (const auto& report : reports) {
-    const bool epoch_valid =
-        report.valid &&
-        (!report.audited || (report.audit_valid && report.audit_tree_match));
+    const bool epoch_valid = report.valid && report.audit_ok();
     if (epoch_valid) ++outcome.epochs_valid;
     all_valid = all_valid && epoch_valid;
     if (report.epoch > 0 && report.full_replan) ++outcome.full_replans;

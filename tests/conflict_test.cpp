@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "conflict/conflict_index.h"
 #include "conflict/fgraph.h"
@@ -27,22 +30,34 @@ ConflictIndex index_of(const geom::LinkView& links) {
   return index;
 }
 
-/// Asserts that the brute-force O(n^2) graph, the bucketed builder, the
+/// Asserts that `graph` has exactly the adjacency of `expected`.
+void expect_same_graph(const Graph& graph, const Graph& expected,
+                       const std::string& what) {
+  ASSERT_EQ(graph.num_vertices(), expected.num_vertices()) << what;
+  EXPECT_EQ(graph.num_edges(), expected.num_edges()) << what;
+  for (std::size_t u = 0; u < expected.num_vertices(); ++u) {
+    const auto got = graph.neighbors(u);
+    const auto want = expected.neighbors(u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << what << " row " << u;
+  }
+}
+
+/// Asserts that the brute-force O(n^2) graph, the indexed builder, the
 /// one-shot subset query, and the persistent index all agree on every row.
 void expect_all_builders_agree(const geom::LinkView& links,
                                const ConflictSpec& spec) {
   const auto brute = build_conflict_graph(links, spec);
-  const auto bucketed = build_conflict_graph_bucketed(links, spec);
   std::vector<std::size_t> all(links.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
   const auto rows = conflict_neighbors_bucketed(links, spec, all);
   const auto index = index_of(links);
   const auto index_rows = index.neighbors(links, spec, all);
-  const auto index_graph = index.build_graph(links, spec);
 
-  ASSERT_EQ(brute.num_vertices(), bucketed.num_vertices()) << spec.name();
-  EXPECT_EQ(brute.num_edges(), bucketed.num_edges()) << spec.name();
-  EXPECT_EQ(brute.num_edges(), index_graph.num_edges()) << spec.name();
+  expect_same_graph(build_conflict_graph_indexed(links, spec), brute,
+                    spec.name() + " indexed builder");
+  expect_same_graph(index.build_graph(links, spec), brute,
+                    spec.name() + " index graph");
   for (std::size_t u = 0; u < links.size(); ++u) {
     const auto expected = brute.neighbors(u);
     ASSERT_EQ(rows[u].size(), expected.size())
@@ -53,8 +68,6 @@ void expect_all_builders_agree(const geom::LinkView& links,
       EXPECT_EQ(rows[u][a], expected[a]) << spec.name() << " row " << u;
       EXPECT_EQ(index_rows[u][a], expected[a])
           << spec.name() << " index row " << u;
-      EXPECT_TRUE(bucketed.has_edge(u, static_cast<std::size_t>(expected[a])))
-          << spec.name();
     }
   }
 }
@@ -169,10 +182,10 @@ TEST(Builder, NaiveMatchesBruteForcePredicate) {
   }
 }
 
-class BucketedEqualsNaive
+class IndexedEqualsNaive
     : public ::testing::TestWithParam<std::tuple<int, std::uint64_t>> {};
 
-TEST_P(BucketedEqualsNaive, OnSeveralFamiliesAndSpecs) {
+TEST_P(IndexedEqualsNaive, OnSeveralFamiliesAndSpecs) {
   const auto [family, seed] = GetParam();
   geom::Pointset pts;
   switch (family) {
@@ -196,21 +209,13 @@ TEST_P(BucketedEqualsNaive, OnSeveralFamiliesAndSpecs) {
        {ConflictSpec::constant(1.0), ConflictSpec::constant(3.0),
         ConflictSpec::power_law(1.0, 0.5),
         ConflictSpec::logarithmic(1.0, 3.0)}) {
-    const auto naive = build_conflict_graph(tree.links, spec);
-    const auto bucketed = build_conflict_graph_bucketed(tree.links, spec);
-    ASSERT_EQ(naive.num_vertices(), bucketed.num_vertices());
-    EXPECT_EQ(naive.num_edges(), bucketed.num_edges()) << spec.name();
-    for (std::size_t u = 0; u < naive.num_vertices(); ++u) {
-      for (const auto v : naive.neighbors(u)) {
-        EXPECT_TRUE(bucketed.has_edge(u, static_cast<std::size_t>(v)))
-            << spec.name() << " missing edge " << u << "-" << v;
-      }
-    }
+    expect_same_graph(build_conflict_graph_indexed(tree.links, spec),
+                      build_conflict_graph(tree.links, spec), spec.name());
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Families, BucketedEqualsNaive,
+    Families, IndexedEqualsNaive,
     ::testing::Combine(::testing::Values(0, 1, 2, 3),
                        ::testing::Values(1ULL, 7ULL, 13ULL)));
 
@@ -251,29 +256,70 @@ TEST(SubsetQuery, EmptyAndDegenerate) {
 }
 
 TEST(Builder, ExtremeScalesDoNotOverflow) {
-  // Doubly-exponential chain: lengths spanning hundreds of orders of
-  // magnitude must not break the predicate or the builders.
-  const auto chain = instance::doubly_exponential_chain(8, 0.5, 3.0, 1.0);
-  const auto tree = mst::mst_tree(chain.points, 0);
+  // Lengths spanning hundreds of orders of magnitude (doubly-exponential
+  // chains, up to the largest representable size), tiny and huge extents,
+  // and coordinates far from the origin must not break the predicate or
+  // the indexed builder.
+  std::vector<std::pair<std::string, geom::Pointset>> instances;
+  instances.emplace_back(
+      "chain8", instance::doubly_exponential_chain(8, 0.5, 3.0, 1.0).points);
+  for (const double tau : {0.3, 0.5}) {
+    const auto n = instance::max_doubly_exponential_size(tau, 3.0, 1.0);
+    instances.emplace_back(
+        "chain-max tau=" + std::to_string(tau),
+        instance::doubly_exponential_chain(n, tau, 3.0, 1.0).points);
+  }
+  instances.emplace_back("extent 1e-9",
+                         instance::uniform_square(150, 1e-9, 11));
+  instances.emplace_back("extent 1e9", instance::uniform_square(150, 1e9, 11));
+  auto offset = instance::uniform_square(150, 8.0, 12);
+  for (auto& p : offset) {
+    p.x += 1e12;
+    p.y += 1e12;
+  }
+  instances.emplace_back("offset 1e12", std::move(offset));
+  for (const auto& [name, points] : instances) {
+    const auto tree = mst::mst_tree(points, 0);
+    for (const auto& spec :
+         {ConflictSpec::constant(1.0), ConflictSpec::power_law(1.0, 0.5),
+          ConflictSpec::logarithmic(1.0, 3.0)}) {
+      const auto g = build_conflict_graph(tree.links, spec);
+      EXPECT_EQ(g.num_vertices(), tree.links.size());
+      expect_same_graph(build_conflict_graph_indexed(tree.links, spec), g,
+                        name + " " + spec.name());
+    }
+  }
+}
+
+TEST(Builder, IndexedBuilderTakesViewsWithNonIncreasingIds) {
+  // The longest half of an MST in decreasing-length order: its ids carry
+  // over from the full tree and do not increase, which a builder keyed by
+  // the view's ids would reject.
+  const auto pts = instance::uniform_square(120, 8.0, 15);
+  const auto tree = mst::mst_tree(pts, 0);
+  const auto order = tree.links.by_decreasing_length();
+  const std::vector<std::size_t> half(order.begin(),
+                                      order.begin() + order.size() / 2);
+  const auto sub = tree.links.subset(half);
+  const auto ids = sub.ids();
+  ASSERT_FALSE(std::is_sorted(ids.begin(), ids.end()));
   for (const auto& spec :
-       {ConflictSpec::constant(1.0), ConflictSpec::power_law(1.0, 0.5),
-        ConflictSpec::logarithmic(1.0, 3.0)}) {
-    const auto g = build_conflict_graph(tree.links, spec);
-    EXPECT_EQ(g.num_vertices(), tree.links.size());
-    const auto gb = build_conflict_graph_bucketed(tree.links, spec);
-    EXPECT_EQ(g.num_edges(), gb.num_edges()) << spec.name();
+       {ConflictSpec::constant(1.0), ConflictSpec::power_law(1.0, 0.75),
+        ConflictSpec::logarithmic(2.0, 3.0)}) {
+    const auto g = build_conflict_graph(sub, spec);
+    EXPECT_GT(g.num_edges(), 0u) << spec.name();
+    expect_same_graph(build_conflict_graph_indexed(sub, spec), g,
+                      spec.name());
   }
 }
 
 /// Regression for the exact-boundary tie guard: construct pairs whose
 /// distance equals the conflict threshold lmin * f(lmax / lmin) EXACTLY (in
 /// double arithmetic) and require graph membership to agree across the
-/// brute-force predicate, the bucketed builder, the subset query, and the
-/// persistent index. Before the guards were unified the builder padded its
-/// candidate radius with 1e-12 * l_longer while the query padded with
-/// 1e-12 * max(l_query, class_hi): a threshold pair could land in one
-/// candidate set but not the other, making the built graph disagree with
-/// the queried rows.
+/// brute-force predicate, the indexed builder, the subset query, and the
+/// persistent index. A tie guard that differed between two paths would let
+/// a threshold pair land in one candidate set but not the other, making the
+/// built graph disagree with the queried rows.
 TEST(Boundary, ExactThresholdPairsAgreeEverywhere) {
   struct Case {
     ConflictSpec spec;
@@ -670,7 +716,7 @@ TEST(Builder, HugeExtentCoordinatesStayExact) {
         ConflictSpec::logarithmic(1.0, 3.0)}) {
     expect_all_builders_agree(links, spec);
     // Each cluster's pair conflicts; clusters are light-years apart.
-    const auto g = build_conflict_graph_bucketed(links, spec);
+    const auto g = build_conflict_graph_indexed(links, spec);
     EXPECT_EQ(g.num_edges(), 4u) << spec.name();
   }
 }
@@ -679,9 +725,9 @@ TEST(Builder, EmptyAndSingle) {
   geom::Pointset pts{{0, 0}, {1, 0}};
   const geom::LinkSet single(pts, {geom::Link{0, 1}});
   const auto spec = ConflictSpec::constant(1.0);
-  EXPECT_EQ(build_conflict_graph_bucketed(single, spec).num_edges(), 0u);
+  EXPECT_EQ(build_conflict_graph_indexed(single, spec).num_edges(), 0u);
   const geom::LinkSet empty(pts, {});
-  EXPECT_EQ(build_conflict_graph_bucketed(empty, spec).num_vertices(), 0u);
+  EXPECT_EQ(build_conflict_graph_indexed(empty, spec).num_vertices(), 0u);
 }
 
 }  // namespace

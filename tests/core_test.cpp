@@ -115,16 +115,6 @@ TEST(Plan, ColoringOrderAblation) {
   EXPECT_GT(inc.schedule().length(), 0u);
 }
 
-TEST(Plan, BucketedAndNaiveConflictAgreeOnScheduleLength) {
-  const auto pts = instance::clustered(5, 16, 50.0, 0.5, 17);
-  auto cfg = config_for(PowerMode::kOblivious);
-  cfg.bucketed_conflict = true;
-  const auto a = plan_aggregation(pts, cfg);
-  cfg.bucketed_conflict = false;
-  const auto b = plan_aggregation(pts, cfg);
-  EXPECT_EQ(a.schedule().length(), b.schedule().length());
-}
-
 TEST(Plan, PairingTreeWorksEndToEnd) {
   const auto pts = instance::uniform_square(64, 8.0, 19);
   auto cfg = config_for(PowerMode::kGlobal);

@@ -428,6 +428,25 @@ TEST(DynamicPlanner, AuditChecksConflictIndex) {
   }
 }
 
+TEST(EpochReport, AuditOkRequiresAllFourVerdicts) {
+  EpochReport report;
+  EXPECT_TRUE(report.audit_ok());  // not audited: nothing to fail
+  report.audited = true;
+  EXPECT_FALSE(report.audit_ok());
+  report.audit_valid = true;
+  report.audit_tree_match = true;
+  report.audit_store_match = true;
+  report.audit_index_match = true;
+  EXPECT_TRUE(report.audit_ok());
+  for (bool EpochReport::*verdict :
+       {&EpochReport::audit_valid, &EpochReport::audit_tree_match,
+        &EpochReport::audit_store_match, &EpochReport::audit_index_match}) {
+    EpochReport failed = report;
+    failed.*verdict = false;
+    EXPECT_FALSE(failed.audit_ok());
+  }
+}
+
 /// The documented apply() contract: a throwing mutation mid-batch leaves
 /// the plan on the previous epoch, and the next successful epoch replans
 /// (and re-verifies) from scratch — including after partially applied
