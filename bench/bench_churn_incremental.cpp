@@ -17,9 +17,8 @@ namespace wagg {
 namespace {
 
 struct SessionCost {
-  double incremental_ms = 0.0;  ///< sum over epochs, audit excluded
-  double full_ms = 0.0;         ///< sum of the audit's from-scratch replans
-  double conflict_ms = 0.0;     ///< conflict layer: index upkeep + queries
+  core::StageTimes times;  ///< summed over epochs
+  double full_ms = 0.0;    ///< sum of the audit's from-scratch replans
   std::size_t epochs = 0;
   std::size_t full_replans = 0;  ///< epochs that hit the fallback
   bool all_valid = true;
@@ -41,9 +40,8 @@ SessionCost run_session(const std::string& family, std::size_t n,
   SessionCost cost;
   for (const auto& epoch : trace) {
     const auto report = planner.apply(epoch);
-    cost.incremental_ms += report.timings.incremental_ms();
+    cost.times += report.times;
     cost.full_ms += report.audit_full_ms;
-    cost.conflict_ms += report.timings.conflict_ms;
     cost.all_valid = cost.all_valid && report.valid && report.audit_ok();
     if (report.full_replan) ++cost.full_replans;
     ++cost.epochs;
@@ -66,7 +64,7 @@ void print_table() {
       for (const double rate : {0.01, 0.05, 0.2}) {
         const auto cost = run_session(family, n, rate, 12);
         const double incr =
-            cost.incremental_ms / static_cast<double>(cost.epochs);
+            cost.times.incremental_ms() / static_cast<double>(cost.epochs);
         const double full = cost.full_ms / static_cast<double>(cost.epochs);
         t.row()
             .cell(family)
@@ -74,7 +72,8 @@ void print_table() {
             .cell(rate, 2)
             .cell(cost.epochs)
             .cell(incr, 3)
-            .cell(cost.conflict_ms / static_cast<double>(cost.epochs), 3)
+            .cell(cost.times.conflict_ms() / static_cast<double>(cost.epochs),
+                  3)
             .cell(full, 3)
             .cell(incr > 0.0 ? full / incr : 0.0, 1)
             .cell(cost.full_replans)

@@ -129,14 +129,8 @@ ChurnSession make_churn_session(const ChurnSpec& spec) {
 }
 
 struct ChurnRepeat {
-  double epoch_ms = 0.0;
-  double mst_update_ms = 0.0;
-  double orient_ms = 0.0;
-  double conflict_maintain_ms = 0.0;
-  double conflict_query_ms = 0.0;
-  double recolor_ms = 0.0;
-  double repair_ms = 0.0;
-  double full_ms = 0.0;  ///< audited sessions: the audit's full replan
+  core::StageTimes times;  ///< per-epoch mean of every stage
+  double full_ms = 0.0;    ///< audited sessions: the audit's full replan
   std::vector<double> epoch_samples;  ///< incremental_ms of each epoch
   /// From-scratch baselines measured right after the session, on its final
   /// snapshot (measure_churn fills them).
@@ -147,10 +141,7 @@ struct ChurnRepeat {
   std::size_t fallbacks = 0;
   bool valid = true;  ///< every epoch valid, and every audit clean
 
-  [[nodiscard]] double mst_ms() const { return mst_update_ms + orient_ms; }
-  [[nodiscard]] double conflict_ms() const {
-    return conflict_maintain_ms + conflict_query_ms;
-  }
+  [[nodiscard]] double epoch_ms() const { return times.incremental_ms(); }
 };
 
 /// Applies the whole trace to a fresh-session planner, returning per-epoch
@@ -158,19 +149,11 @@ struct ChurnRepeat {
 ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
                              const dynamic::ChurnTrace& trace) {
   ChurnRepeat result;
-  double epoch_sum = 0.0, mst_update = 0.0, orient = 0.0, maintain = 0.0,
-         query = 0.0, recolor = 0.0, repair = 0.0, full = 0.0;
   for (const auto& epoch : trace) {
     const auto report = planner.apply(epoch);
-    result.epoch_samples.push_back(report.timings.incremental_ms());
-    epoch_sum += report.timings.incremental_ms();
-    mst_update += report.timings.mst_update_ms;
-    orient += report.timings.orient_ms;
-    maintain += report.timings.conflict_maintain_ms;
-    query += report.timings.conflict_query_ms;
-    recolor += report.timings.recolor_ms;
-    repair += report.timings.repair_ms;
-    full += report.audit_full_ms;
+    result.epoch_samples.push_back(report.times.incremental_ms());
+    result.times += report.times;
+    result.full_ms += report.audit_full_ms;
     result.dirty_links += report.dirty_links;
     result.valid = result.valid && report.valid && report.audit_ok();
     if (report.full_replan) ++result.fallbacks;
@@ -178,14 +161,8 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
   }
   const auto epochs = static_cast<double>(std::max<std::size_t>(1,
                                                                 result.epochs));
-  result.epoch_ms = epoch_sum / epochs;
-  result.mst_update_ms = mst_update / epochs;
-  result.orient_ms = orient / epochs;
-  result.conflict_maintain_ms = maintain / epochs;
-  result.conflict_query_ms = query / epochs;
-  result.recolor_ms = recolor / epochs;
-  result.repair_ms = repair / epochs;
-  result.full_ms = full / epochs;
+  for (double& stage_ms : result.times.ms) stage_ms /= epochs;
+  result.full_ms /= epochs;
   return result;
 }
 
@@ -233,7 +210,7 @@ std::vector<ChurnRepeat> measure_churn(const ChurnSession& session,
                                        std::size_t repeats) {
   for (std::size_t i = 0; i < warmup; ++i) {
     dynamic::DynamicPlanner planner(session.points, options);
-    do_not_optimize(run_churn_epochs(planner, session.trace).epoch_ms);
+    do_not_optimize(run_churn_epochs(planner, session.trace).epoch_ms());
   }
   std::vector<ChurnRepeat> measured;
   for (std::size_t i = 0; i < repeats; ++i) {
@@ -285,16 +262,17 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
     run.scenario.metrics.emplace(
         name, obs::BenchMetric::of(column(getter), "ms"));
   };
-  add_ms("epoch_ms", [](const ChurnRepeat& r) { return r.epoch_ms; });
-  add_ms("mst_update_ms",
-         [](const ChurnRepeat& r) { return r.mst_update_ms; });
-  add_ms("orient_ms", [](const ChurnRepeat& r) { return r.orient_ms; });
-  add_ms("conflict_maintain_ms",
-         [](const ChurnRepeat& r) { return r.conflict_maintain_ms; });
-  add_ms("conflict_query_ms",
-         [](const ChurnRepeat& r) { return r.conflict_query_ms; });
-  add_ms("recolor_ms", [](const ChurnRepeat& r) { return r.recolor_ms; });
-  add_ms("repair_ms", [](const ChurnRepeat& r) { return r.repair_ms; });
+  add_ms("epoch_ms", [](const ChurnRepeat& r) { return r.epoch_ms(); });
+  for (const auto stage :
+       {core::Stage::kMstUpdate, core::Stage::kOrient,
+        core::Stage::kConflictMaintain, core::Stage::kConflictQuery,
+        core::Stage::kRepair}) {
+    add_ms(std::string(core::stage_name(stage)) + "_ms",
+           [stage](const ChurnRepeat& r) { return r.times[stage]; });
+  }
+  // The recolor_ms key keeps its meaning: dirty detection + recolor.
+  add_ms("recolor_ms",
+         [](const ChurnRepeat& r) { return r.times.coloring_ms(); });
 
   // Portable ratios: per-epoch incremental stage cost over an in-process
   // from-scratch baseline measured on the same host, same build, same
@@ -303,9 +281,10 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
   // measure_churn), so the ratio's MAD reflects denominator noise too.
   std::vector<double> mst_share, conflict_share;
   for (const auto& r : measured) {
-    mst_share.push_back(r.prim_ms > 0.0 ? r.mst_ms() / r.prim_ms : 0.0);
+    mst_share.push_back(r.prim_ms > 0.0 ? r.times.tree_ms() / r.prim_ms
+                                        : 0.0);
     conflict_share.push_back(
-        r.rebuild_ms > 0.0 ? r.conflict_ms() / r.rebuild_ms : 0.0);
+        r.rebuild_ms > 0.0 ? r.times.conflict_ms() / r.rebuild_ms : 0.0);
   }
   run.scenario.metrics.emplace(
       "mst_share",
@@ -324,7 +303,7 @@ ScenarioRun run_churn_scenario(const ChurnSpec& spec,
     dynamic::DynamicPlanner planner(session.points, options);
     obs::Tracer::global().clear();  // window the trace on mutation epochs
     const auto profiled = run_churn_epochs(planner, session.trace);
-    do_not_optimize(profiled.epoch_ms);
+    do_not_optimize(profiled.epoch_ms());
     obs::Tracer::global().disable();
     const auto profile = obs::profile_global_tracer();
     obs::Tracer::global().clear();
@@ -360,8 +339,8 @@ ScenarioRun run_static_scenario(const std::string& family, std::size_t n,
     const auto outcome = once();
     run.valid = run.valid && outcome.ok;
     plan_ms.push_back(outcome.total_ms);
-    tree_ms.push_back(outcome.timings.tree_ms);
-    conflict_ms.push_back(outcome.timings.conflict_ms);
+    tree_ms.push_back(outcome.times.tree_ms());
+    conflict_ms.push_back(outcome.times.conflict_ms());
   }
   run.scenario.registry = obs::Registry::global().snapshot();
   run.scenario.metrics.emplace("plan_ms",
@@ -603,19 +582,24 @@ bool run_churn_gate(const SuiteOptions& suite) {
   if (!suite.trace_path.empty()) obs::Tracer::global().enable();
   const auto sessions = measure_churn(session, options, 1, kSessions);
   const ChurnRepeat& last = sessions.back();
-  const auto median = [&sessions](double (*get)(const ChurnRepeat&)) {
+  const auto median = [&sessions](auto get) {
     std::vector<double> values;
     for (const auto& r : sessions) values.push_back(get(r));
     return obs::median_of(std::move(values));
   };
-  const double incr = median([](const ChurnRepeat& r) { return r.epoch_ms; });
+  const auto median_stage = [&median](core::Stage stage) {
+    return median([stage](const ChurnRepeat& r) { return r.times[stage]; });
+  };
+  const double incr =
+      median([](const ChurnRepeat& r) { return r.epoch_ms(); });
   const double full = median([](const ChurnRepeat& r) { return r.full_ms; });
   const double speedup = median([](const ChurnRepeat& r) {
-    return r.epoch_ms > 0.0 ? r.full_ms / r.epoch_ms : 0.0;
+    return r.epoch_ms() > 0.0 ? r.full_ms / r.epoch_ms() : 0.0;
   });
   const double conflict =
-      median([](const ChurnRepeat& r) { return r.conflict_ms(); });
-  const double mst = median([](const ChurnRepeat& r) { return r.mst_ms(); });
+      median([](const ChurnRepeat& r) { return r.times.conflict_ms(); });
+  const double mst =
+      median([](const ChurnRepeat& r) { return r.times.tree_ms(); });
   bool valid = true;
   std::size_t fallbacks = 0;
   for (const auto& r : sessions) {
@@ -645,10 +629,10 @@ bool run_churn_gate(const SuiteOptions& suite) {
       epoch_hist.count() == last.epochs &&
       parsed.counters.at("dynamic.full_replans") == last.fallbacks &&
       rel_diff(parsed.histograms.at("dynamic.mst_ms").mean(),
-               last.mst_ms()) <= 1e-9 &&
+               last.times.tree_ms()) <= 1e-9 &&
       rel_diff(parsed.histograms.at("dynamic.conflict_ms").mean(),
-               last.conflict_ms()) <= 1e-9 &&
-      rel_diff(epoch_hist.mean(), last.epoch_ms) <= 1e-9;
+               last.times.conflict_ms()) <= 1e-9 &&
+      rel_diff(epoch_hist.mean(), last.epoch_ms()) <= 1e-9;
   auto samples = last.epoch_samples;
   std::sort(samples.begin(), samples.end());
   bool quantiles_match = true;
@@ -694,15 +678,11 @@ bool run_churn_gate(const SuiteOptions& suite) {
             << "gate: incr=" << incr << " ms/epoch full=" << full
             << " ms/epoch speedup=" << speedup << "x conflict=" << conflict
             << " ms/epoch ("
-            << median(
-                   [](const ChurnRepeat& r) { return r.conflict_maintain_ms; })
-            << " maintain / "
-            << median([](const ChurnRepeat& r) { return r.conflict_query_ms; })
+            << median_stage(core::Stage::kConflictMaintain) << " maintain / "
+            << median_stage(core::Stage::kConflictQuery)
             << " query, rebuild baseline " << last.rebuild_ms << ") mst=" << mst
-            << " ms/epoch ("
-            << median([](const ChurnRepeat& r) { return r.mst_update_ms; })
-            << " update / "
-            << median([](const ChurnRepeat& r) { return r.orient_ms; })
+            << " ms/epoch (" << median_stage(core::Stage::kMstUpdate)
+            << " update / " << median_stage(core::Stage::kOrient)
             << " orient, Prim baseline " << last.prim_ms
             << ") fallbacks=" << fallbacks
             << " valid=" << (valid ? "yes" : "NO")
@@ -724,8 +704,8 @@ bool run_churn_gate(const SuiteOptions& suite) {
        "MST layer over its share of the from-scratch Prim baseline — tree "
        "updates are no longer localized"},
       {json_matches,
-       "metrics JSON disagrees with EpochTimings (count/mean/fallback "
-       "mismatch) — the registry is no longer a faithful view"},
+       "metrics JSON disagrees with the epochs' stage times (count/mean/"
+       "fallback mismatch) — the registry is no longer a faithful view"},
       {quantiles_match,
        "histogram p50/p95 stray from the exact order statistics"},
       {overhead_ms <= overhead_budget_ms,

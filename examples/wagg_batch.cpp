@@ -64,20 +64,11 @@ void print_stage_table(const wagg::runtime::BatchStats& stats) {
                             const wagg::runtime::StageSummary& s) {
     table.row().cell(name).cell(s.p50).cell(s.p95).cell(s.mean).cell(s.max);
   };
-  add("tree", stats.tree);
-  // Session batches split the tree stage: dynamic-tree MST updates vs
-  // orientation-diff replay (all-static batches leave both rows at zero).
-  add("  mst-update", stats.mst_update);
-  add("  orient", stats.orient);
-  add("conflict", stats.conflict);
-  // Session batches split the conflict stage: persistent-index upkeep vs
-  // dirty-row queries (all-static batches leave both rows at zero).
-  add("  maintain", stats.conflict_maintain);
-  add("  query", stats.conflict_query);
-  add("coloring", stats.coloring);
-  add("repair", stats.repair);
-  add("verify", stats.verify);
-  add("power", stats.power);
+  // One row per leaf stage; stages only churn sessions run (orient,
+  // conflict_maintain, dirty_detect, audit) read zero in static batches.
+  for (std::size_t s = 0; s < wagg::core::kNumStages; ++s) {
+    add(wagg::core::kStageNames[s], stats.stages[s]);
+  }
   add("queue", stats.queue);
   add("total", stats.total_latency);
   table.print(std::cout);

@@ -22,7 +22,6 @@
 // cover the mutation epochs — the construction full plan is excluded so the
 // histograms describe steady-state incremental cost.
 
-#include <cmath>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -111,9 +110,9 @@ int main(int argc, char** argv) {
           .cell(report.touched_slots)
           .cell(report.oracle_calls)
           .cell(report.rate, 4)
-          .cell(report.timings.incremental_ms(), 2)
-          .cell(report.timings.mst_ms(), 2)
-          .cell(report.timings.conflict_ms, 2)
+          .cell(report.times.incremental_ms(), 2)
+          .cell(report.times.tree_ms(), 2)
+          .cell(report.times.conflict_ms(), 2)
           .cell(cache.row_cache_hits - cache_mark.row_cache_hits)
           .cell(cache.row_cache_misses - cache_mark.row_cache_misses);
       cache_mark = cache;
@@ -138,13 +137,8 @@ int main(int argc, char** argv) {
     add_row(planner.last_report());
     std::vector<double> epoch_times;  // per-epoch incremental_ms
     epoch_times.reserve(trace.size());
-    double incremental_ms = 0.0;
+    core::StageTimes session_times;  // summed over the mutation epochs
     double full_ms = 0.0;
-    double mst_update_ms = 0.0;
-    double orient_ms = 0.0;
-    double conflict_maintain_ms = 0.0;
-    double conflict_query_ms = 0.0;
-    double power_ms = 0.0;
     std::size_t power_cached = 0;
     std::size_t power_computed = 0;
     std::size_t fallbacks = 0;
@@ -154,14 +148,9 @@ int main(int argc, char** argv) {
       if (powers) (void)planner.slot_powers();
       const auto report = planner.last_report();
       add_row(report);
-      epoch_times.push_back(report.timings.incremental_ms());
-      incremental_ms += report.timings.incremental_ms();
+      epoch_times.push_back(report.times.incremental_ms());
+      session_times += report.times;
       full_ms += report.audit_full_ms;
-      mst_update_ms += report.timings.mst_update_ms;
-      orient_ms += report.timings.orient_ms;
-      conflict_maintain_ms += report.timings.conflict_maintain_ms;
-      conflict_query_ms += report.timings.conflict_query_ms;
-      power_ms += report.timings.power_ms;
       power_cached += report.power_slots_cached;
       power_computed += report.power_slots_computed;
       if (report.full_replan) ++fallbacks;
@@ -173,6 +162,7 @@ int main(int argc, char** argv) {
       table.print(std::cout);
     }
 
+    const double incremental_ms = session_times.incremental_ms();
     std::cout << "\nsession: " << epochs << " epochs, "
               << util::format_double(
                      incremental_ms / static_cast<double>(epochs), 2)
@@ -185,36 +175,20 @@ int main(int argc, char** argv) {
                 << util::format_double(full_ms / incremental_ms, 1)
                 << "x speedup)";
     }
-    // Round the split cells FIRST and derive each printed total from the
-    // rounded parts — formatting the raw sum independently can disagree with
-    // the printed parts by the last digit.
-    const auto round2 = [](double v) { return std::round(v * 100.0) / 100.0; };
-    const double mst_update_cell =
-        round2(mst_update_ms / static_cast<double>(epochs));
-    const double orient_cell = round2(orient_ms / static_cast<double>(epochs));
-    std::cout << ", mst "
-              << util::format_double(mst_update_cell + orient_cell, 2)
-              << " ms/epoch (" << util::format_double(mst_update_cell, 2)
-              << " update / " << util::format_double(orient_cell, 2)
-              << " orient)";
-    const double maintain_cell =
-        round2(conflict_maintain_ms / static_cast<double>(epochs));
-    const double query_cell =
-        round2(conflict_query_ms / static_cast<double>(epochs));
-    std::cout << ", conflict "
-              << util::format_double(maintain_cell + query_cell, 2)
-              << " ms/epoch (" << util::format_double(maintain_cell, 2)
-              << " maintain / " << util::format_double(query_cell, 2)
-              << " query)";
     if (powers) {
-      std::cout << ", powers "
-                << util::format_double(
-                       power_ms / static_cast<double>(epochs), 2)
-                << " ms/epoch (" << power_cached << " cached / "
-                << power_computed << " computed)";
+      std::cout << ", powers " << power_cached << " cached / "
+                << power_computed << " computed";
     }
     std::cout << ", " << fallbacks << " fallbacks, "
               << (all_valid ? "all epochs valid" : "INVALID EPOCHS") << "\n";
+    std::cout << "stages (ms/epoch):";
+    for (std::size_t s = 0; s < core::kNumStages; ++s) {
+      if (session_times.ms[s] == 0.0) continue;  // stage never ran
+      std::cout << " " << core::kStageNames[s] << " "
+                << util::format_double(
+                       session_times.ms[s] / static_cast<double>(epochs), 3);
+    }
+    std::cout << "\n";
 
     // Cumulative row-cache economics for the whole session (construction
     // included — its misses are the warmup that later epochs hit against).

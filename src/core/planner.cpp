@@ -5,13 +5,10 @@
 
 #include "coloring/coloring.h"
 #include "conflict/conflict_index.h"
+#include "obs/trace.h"
 #include "schedule/repair.h"
-#include "util/clock.h"
 
 namespace wagg::core {
-
-using util::Clock;
-using util::ms_since;
 
 std::string to_string(PowerMode mode) {
   switch (mode) {
@@ -90,25 +87,26 @@ schedule::FeasibilityOracle oracle_for_mode(const geom::LinkView& links,
 
 LinkScheduleResult schedule_links(const geom::LinkView& links,
                                   const PlannerConfig& config,
-                                  StageTimings* timings, const WarmStart* warm,
+                                  StageTimes* times, const WarmStart* warm,
                                   const conflict::ConflictIndex* conflict_index) {
   config.validate();
   if (warm && warm->seed_colors.size() != links.size()) {
     throw std::invalid_argument(
         "schedule_links: warm-start seed size does not match link count");
   }
+  StageTimes unused;
+  StageTimes& t = times ? *times : unused;
   LinkScheduleResult result;
   result.spec = spec_for_mode(config);
   result.power = power_for_mode(links, config);
 
-  auto stage_start = Clock::now();
+  obs::StageSpan stage(t.slot(Stage::kConflictQuery));
   const conflict::Graph graph =
       conflict_index
           ? conflict_index->build_graph(links, result.spec)
           : conflict::build_conflict_graph_indexed(links, result.spec);
-  if (timings) timings->conflict_ms = ms_since(stage_start);
 
-  stage_start = Clock::now();
+  stage.next(t.slot(Stage::kRecolor));
   const auto order = config.order == ColoringOrder::kDecreasingLength
                          ? links.by_decreasing_length()
                          : links.by_increasing_length();
@@ -123,11 +121,11 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
                   [](const std::vector<std::size_t>& s) { return s.empty(); });
   }
   result.colors_before_repair = result.schedule.length();
-  if (timings) timings->coloring_ms = ms_since(stage_start);
+  stage.close();
 
   const auto oracle = oracle_for_mode(links, config);
   if (config.repair) {
-    stage_start = Clock::now();
+    obs::StageSpan repair_stage(t.slot(Stage::kRepair));
     // Fixed-power modes use the incremental packer (same output contract,
     // orders of magnitude faster on large slots).
     auto repaired =
@@ -137,37 +135,37 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
                   links, result.schedule, config.sinr, result.power);
     result.schedule = std::move(repaired.schedule);
     result.slots_split = repaired.slots_split;
-    if (timings) timings->repair_ms = ms_since(stage_start);
   }
-  stage_start = Clock::now();
+  obs::StageSpan verify_stage(t.slot(Stage::kVerify));
   result.verification = schedule::verify_schedule(links, result.schedule,
                                                   oracle);
-  if (timings) timings->verify_ms = ms_since(stage_start);
   return result;
 }
 
 PlanResult plan_aggregation(const geom::Pointset& points,
-                            const PlannerConfig& config,
-                            StageTimings* timings) {
+                            const PlannerConfig& config, StageTimes* times) {
   config.validate();
   if (points.size() < 2) {
     throw std::invalid_argument("plan_aggregation: need >= 2 points");
   }
+  StageTimes unused;
+  StageTimes& t = times ? *times : unused;
   PlanResult result;
-  const auto tree_start = Clock::now();
-  switch (config.tree) {
-    case TreeKind::kMst:
-      result.tree = mst::mst_tree(points, config.sink);
-      break;
-    case TreeKind::kPairing:
-      result.tree = mst::pairing_tree(points, config.sink).tree;
-      break;
+  {
+    obs::StageSpan stage(t.slot(Stage::kMstUpdate));
+    switch (config.tree) {
+      case TreeKind::kMst:
+        result.tree = mst::mst_tree(points, config.sink);
+        break;
+      case TreeKind::kPairing:
+        result.tree = mst::pairing_tree(points, config.sink).tree;
+        break;
+    }
   }
-  if (timings) timings->tree_ms = ms_since(tree_start);
-  result.scheduling = schedule_links(result.tree.links, config, timings);
+  result.scheduling = schedule_links(result.tree.links, config, &t);
 
   if (config.power_mode == PowerMode::kGlobal) {
-    const auto power_start = Clock::now();
+    obs::StageSpan stage(t.slot(Stage::kPower));
     // Materialize the per-slot global power vectors (the actual output of
     // the power-control algorithm) and stitch a per-link assignment from
     // each link's home slot for reporting.
@@ -188,7 +186,6 @@ PlanResult plan_aggregation(const geom::Pointset& points,
     }
     result.scheduling.power =
         sinr::PowerAssignment(std::move(stitched), "global(stitched)");
-    if (timings) timings->power_ms = ms_since(power_start);
   }
   return result;
 }

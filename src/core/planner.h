@@ -1,7 +1,10 @@
 #ifndef WAGG_CORE_PLANNER_H
 #define WAGG_CORE_PLANNER_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -9,6 +12,7 @@
 #include "geom/linkset.h"
 #include "geom/point.h"
 #include "mst/tree.h"
+#include "obs/trace.h"
 #include "schedule/repair.h"
 #include "schedule/schedule.h"
 #include "schedule/verify.h"
@@ -63,21 +67,74 @@ struct PlannerConfig {
   void validate() const;
 };
 
-/// Wall-clock breakdown of one planning run, in milliseconds. Filled by
-/// plan_aggregation / schedule_links when the caller passes a non-null
-/// pointer; stages a run does not execute (e.g. repair when disabled, power
-/// for fixed-power modes) stay 0.
-struct StageTimings {
-  double tree_ms = 0.0;      ///< spanning-structure construction
-  double conflict_ms = 0.0;  ///< conflict-graph build
-  double coloring_ms = 0.0;  ///< greedy coloring
-  double repair_ms = 0.0;    ///< exact-SINR slot repair
-  double verify_ms = 0.0;    ///< full-schedule verification
-  double power_ms = 0.0;     ///< per-slot global power materialization
+/// The planner's leaf stages. A static plan runs mst_update (the tree
+/// build), conflict_query (the whole conflict graph), recolor, repair,
+/// verify and, for global power, power; an incremental epoch adds orient,
+/// conflict_maintain and dirty_detect.
+enum class Stage : std::size_t {
+  kMstUpdate,         ///< spanning-tree build, or incremental MST updates
+  kOrient,            ///< edge-diff replay onto the LinkStore + snapshot
+  kConflictMaintain,  ///< ConflictIndex upkeep (carved out of orient)
+  kConflictQuery,     ///< conflict rows, or the whole conflict graph
+  kDirtyDetect,       ///< dirty links and the coloring seed
+  kRecolor,           ///< coloring, seeded or from scratch
+  kRepair,            ///< slot repair (carry-over + patch on epochs)
+  kVerify,            ///< full-schedule verification
+  kPower,             ///< per-slot global power materialization
+  kAudit,             ///< audit: from-scratch replan + equivalence checks
+};
+inline constexpr std::size_t kNumStages =
+    static_cast<std::size_t>(Stage::kAudit) + 1;
 
+/// Span names, indexed by Stage.
+inline constexpr std::array<const char*, kNumStages> kStageNames = {
+    "mst_update",   "orient",  "conflict_maintain", "conflict_query",
+    "dirty_detect", "recolor", "repair",            "verify",
+    "power",        "audit"};
+
+[[nodiscard]] constexpr const char* stage_name(Stage stage) noexcept {
+  return kStageNames[static_cast<std::size_t>(stage)];
+}
+
+/// Milliseconds per leaf stage of one plan, epoch or request. Only an
+/// obs::StageSpan opened on slot(stage) writes an entry, and within one
+/// table no stage span encloses another, so the entries partition the
+/// timed work; sums are derived, never stored. The one exception is the
+/// conflict-index carve-out in DynamicPlanner::replan, which moves the
+/// index's own maintain time from orient to conflict_maintain.
+struct StageTimes {
+  std::array<double, kNumStages> ms{};
+
+  [[nodiscard]] double& operator[](Stage stage) noexcept {
+    return ms[static_cast<std::size_t>(stage)];
+  }
+  [[nodiscard]] double operator[](Stage stage) const noexcept {
+    return ms[static_cast<std::size_t>(stage)];
+  }
+  /// The StageSpan target for `stage`: its span name and this table's entry.
+  [[nodiscard]] obs::StageSlot slot(Stage stage) noexcept {
+    return {stage_name(stage), &(*this)[stage]};
+  }
+  StageTimes& operator+=(const StageTimes& other) noexcept {
+    for (std::size_t i = 0; i < kNumStages; ++i) ms[i] += other.ms[i];
+    return *this;
+  }
+
+  [[nodiscard]] double tree_ms() const noexcept {
+    return (*this)[Stage::kMstUpdate] + (*this)[Stage::kOrient];
+  }
+  [[nodiscard]] double conflict_ms() const noexcept {
+    return (*this)[Stage::kConflictMaintain] + (*this)[Stage::kConflictQuery];
+  }
+  [[nodiscard]] double coloring_ms() const noexcept {
+    return (*this)[Stage::kDirtyDetect] + (*this)[Stage::kRecolor];
+  }
   [[nodiscard]] double total_ms() const noexcept {
-    return tree_ms + conflict_ms + coloring_ms + repair_ms + verify_ms +
-           power_ms;
+    return std::accumulate(ms.begin(), ms.end(), 0.0);
+  }
+  /// The planning cost proper: all but on-demand power and the audit.
+  [[nodiscard]] double incremental_ms() const noexcept {
+    return total_ms() - (*this)[Stage::kPower] - (*this)[Stage::kAudit];
   }
 };
 
@@ -123,17 +180,17 @@ struct WarmStart {
 };
 
 /// Colors the conflict graph, repairs, verifies: a complete TDMA schedule
-/// for an arbitrary link set under the configured power mode. When `timings`
-/// is non-null the conflict/coloring/repair/verify stages are clocked into
-/// it. When `warm` is non-null (and sized to the links) the coloring is
-/// seeded from it instead of computed from scratch. When `conflict_index` is
-/// non-null it must be the maintained index of the store `links` snapshots
-/// (dynamic::DynamicPlanner's), and the conflict graph is assembled from
-/// its queries; otherwise build_conflict_graph_indexed builds it — the same
-/// graph either way.
+/// for an arbitrary link set under the configured power mode. Its stages
+/// (conflict_query, recolor, repair, verify) are StageSpans, added into
+/// `times` when it is non-null. When `warm` is non-null (and sized to the
+/// links) the coloring is seeded from it instead of computed from scratch.
+/// When `conflict_index` is non-null it must be the maintained index of the
+/// store `links` snapshots (dynamic::DynamicPlanner's), and the conflict
+/// graph is assembled from its queries; otherwise
+/// build_conflict_graph_indexed builds it — the same graph either way.
 [[nodiscard]] LinkScheduleResult schedule_links(
     const geom::LinkView& links, const PlannerConfig& config,
-    StageTimings* timings = nullptr, const WarmStart* warm = nullptr,
+    StageTimes* times = nullptr, const WarmStart* warm = nullptr,
     const conflict::ConflictIndex* conflict_index = nullptr);
 
 /// Full aggregation plan for a pointset.
@@ -153,11 +210,12 @@ struct PlanResult {
 /// The paper's end-to-end protocol: build the tree (MST by default), choose
 /// powers for the mode, color the matching conflict graph, repair and verify.
 /// Throws std::invalid_argument on malformed inputs (duplicate points, < 2
-/// points, sink out of range). When `timings` is non-null every stage is
-/// clocked into it; the plan itself is unaffected.
+/// points, sink out of range). Every stage (mst_update for the tree build,
+/// then schedule_links' stages, then power for kGlobal) is a StageSpan,
+/// added into `times` when it is non-null; the plan itself is unaffected.
 [[nodiscard]] PlanResult plan_aggregation(const geom::Pointset& points,
                                           const PlannerConfig& config,
-                                          StageTimings* timings = nullptr);
+                                          StageTimes* times = nullptr);
 
 }  // namespace wagg::core
 

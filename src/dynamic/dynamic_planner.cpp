@@ -14,12 +14,10 @@
 #include "schedule/repair.h"
 #include "schedule/verify.h"
 #include "sinr/feasibility.h"
-#include "util/clock.h"
 
 namespace wagg::dynamic {
 
-using util::Clock;
-using util::ms_since;
+using core::Stage;
 
 namespace {
 
@@ -125,7 +123,7 @@ void DynamicPlanner::on_touch(geom::LinkId id) {
 
 DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
                                DynamicOptions options)
-    : options_(std::move(options)), mst_(initial) {
+    : options_(std::move(options)), mst_(geom::Pointset{}) {
   options_.validate();
   store_.set_listener(this);
   if (initial.size() < 2) {
@@ -135,20 +133,25 @@ DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
       static_cast<std::size_t>(options_.config.sink) >= initial.size()) {
     throw std::invalid_argument("DynamicPlanner: sink out of range");
   }
-  for (std::size_t id = 0; id < initial.size(); ++id) {
-    const NodeId first = mst_.node_at(initial[id]);
-    if (first != static_cast<NodeId>(id)) {
-      throw std::invalid_argument(
-          "DynamicPlanner: initial points " + std::to_string(first) +
-          " and " + std::to_string(id) + " coincide");
-    }
-  }
   sink_id_ = options_.config.sink;
 
   EpochReport report;
   report.epoch = 0;
   {
     obs::Span epoch_span("epoch");
+    {
+      // The seed tree (an O(n^2) Prim) is epoch 0's mst_update stage.
+      obs::StageSpan stage(report.times.slot(Stage::kMstUpdate));
+      mst_ = mst::IncrementalMst(initial);
+      for (std::size_t id = 0; id < initial.size(); ++id) {
+        const NodeId first = mst_.node_at(initial[id]);
+        if (first != static_cast<NodeId>(id)) {
+          throw std::invalid_argument(
+              "DynamicPlanner: initial points " + std::to_string(first) +
+              " and " + std::to_string(id) + " coincide");
+        }
+      }
+    }
     replan({}, report);
     if (options_.audit) run_audit(report);
   }
@@ -162,8 +165,7 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
   report.mutations_applied = mutations.size();
 
   obs::Span epoch_span("epoch");
-  obs::StageSpan mst_span("mst_update");
-  const auto mst_start = Clock::now();
+  obs::StageSpan mst_stage(report.times.slot(Stage::kMstUpdate));
   // Past ~n/8 mutations one batch Prim beats per-mutation maintenance, so
   // bulk epochs defer tree updates and rebuild once. The threshold rose
   // with the dynamic-tree engine: per-update cost is now polylog plus the
@@ -232,8 +234,7 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
     throw;
   }
   if (bulk) mst_.rebuild();
-  mst_span.close();
-  report.timings.mst_update_ms = ms_since(mst_start);
+  mst_stage.close();
 
   try {
     replan(touched, report);
@@ -511,11 +512,10 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
 
   // ---- bring the id-space store in line with the maintained tree ----
   // Conflict-index upkeep rides the store's listener hooks inside this
-  // stage; its accumulated-timer delta is carved out of orient_ms below so
-  // the conflict stage owns the full conflict-layer cost.
+  // stage; its accumulated-timer delta is carved out of orient below so
+  // the conflict layer owns the full conflict-layer cost.
   const double maintain_mark = conflict_index_.stats().maintain_ms;
-  obs::StageSpan stage_span("orient");
-  auto stage_start = Clock::now();
+  obs::StageSpan stage(report.times.slot(Stage::kOrient));
   const auto delta = mst_.take_delta();
   {
     auto& metrics = planner_metrics();
@@ -548,15 +548,17 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   const std::size_t n = links.size();
   const double maintain_ms =
       conflict_index_.stats().maintain_ms - maintain_mark;
-  report.timings.conflict_maintain_ms += maintain_ms;
-  report.timings.conflict_ms += maintain_ms;
-  report.timings.orient_ms += ms_since(stage_start) - maintain_ms;
-  stage_span.next("dirty_detect");
+  stage.next(report.times.slot(Stage::kDirtyDetect));
+  // The one carve-out of the stage clock: the index timed its own upkeep
+  // inside the orient span; move that time to conflict_maintain.
+  report.times[Stage::kOrient] -= maintain_ms;
+  report.times[Stage::kConflictMaintain] += maintain_ms;
 
   // ---- dirty detection via generation counters (no conflict graph
   // needed: the pairwise conflict relation of two geometrically unchanged
-  // links cannot change) ----
-  stage_start = Clock::now();
+  // links cannot change). Clean links seed the coloring with their previous
+  // final slot (final slots are independent sets, so the seed is proper);
+  // seed[i] < 0 marks link i dirty.
   // Fixed-power modes with ambient noise couple every power to the global
   // max link length; any change then invalidates every link.
   const bool noise_coupled = config.power_mode != core::PowerMode::kGlobal &&
@@ -564,19 +566,20 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   if (slot_of_.size() < store_.capacity()) {
     slot_of_.resize(store_.capacity(), -1);
   }
-  std::vector<bool> dirty(n, false);
+  std::vector<int> seed(n, -1);
   std::size_t dirty_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<std::size_t>(links.id_of(i));
-    dirty[i] = noise_coupled || slot_of_[id] < 0 ||
-               store_.generation(links.id_of(i)) > plan_clock_;
-    if (dirty[i]) ++dirty_count;
+    if (noise_coupled || slot_of_[id] < 0 ||
+        store_.generation(links.id_of(i)) > plan_clock_) {
+      ++dirty_count;
+    } else {
+      seed[i] = slot_of_[id];
+    }
   }
   report.dirty_links = dirty_count;
   report.num_nodes = points.size();
   report.num_links = n;
-  // Dirty detection counts toward recolor on both paths.
-  report.timings.recolor_ms += ms_since(stage_start);
 
   const bool full =
       prev_slot_count_.empty() ||
@@ -589,26 +592,12 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // ---- fallback: full replan, warm-started from the surviving slots so
     // the coloring stays stable; repair + verification run from scratch and
     // re-anchor the carried-over validity chain ----
-    stage_span.next("full_replan");
-    stage_start = Clock::now();
-    core::StageTimings stage_timings;
-    core::WarmStart warm;
-    const core::WarmStart* warm_ptr = nullptr;
-    if (!prev_slot_count_.empty()) {
-      warm.seed_colors.assign(n, -1);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!dirty[i]) warm.seed_colors[i] = slot_of_[links.id_of(i)];
-      }
-      warm_ptr = &warm;
-    }
-    report.timings.recolor_ms += ms_since(stage_start);
-    auto scheduled = core::schedule_links(links, config, &stage_timings,
-                                          warm_ptr, &conflict_index_);
-    report.timings.conflict_ms += stage_timings.conflict_ms;
-    report.timings.conflict_query_ms += stage_timings.conflict_ms;
-    report.timings.recolor_ms += stage_timings.coloring_ms;
-    report.timings.repair_ms +=
-        stage_timings.repair_ms + stage_timings.verify_ms;
+    stage.close();
+    obs::Span full_span("full_replan");
+    core::WarmStart warm{std::move(seed)};
+    auto scheduled = core::schedule_links(
+        links, config, &report.times,
+        prev_slot_count_.empty() ? nullptr : &warm, &conflict_index_);
     report.touched_slots = scheduled.schedule.length();
     report.valid = scheduled.verification.ok();
     final_schedule = std::move(scheduled.schedule);
@@ -620,12 +609,11 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // per-class grids — output-sensitive queries with ZERO per-epoch
     // rebuild (the O(n) grid construction the from-scratch subset query
     // pays every call).
-    stage_span.next("conflict_query");
-    stage_start = Clock::now();
+    stage.next(report.times.slot(Stage::kConflictQuery));
     std::vector<std::size_t> dirty_indices;
     dirty_indices.reserve(dirty_count);
     for (std::size_t i = 0; i < n; ++i) {
-      if (dirty[i]) dirty_indices.push_back(i);
+      if (seed[i] < 0) dirty_indices.push_back(i);
     }
     if (config.order == core::ColoringOrder::kDecreasingLength) {
       dirty_indices = schedule::pack_order(links, dirty_indices);
@@ -641,22 +629,12 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     const auto spec = core::spec_for_mode(config);
     const auto neighbor_rows =
         conflict_index_.neighbors(links, spec, dirty_indices);
-    const double query_ms = ms_since(stage_start);
-    report.timings.conflict_ms += query_ms;
-    report.timings.conflict_query_ms += query_ms;
 
-    // Seeded recolor: surviving links keep their final slot (final slots
-    // are independent sets, so the seed is proper); only dirty links are
-    // first-fit colored against their conflict rows.
-    stage_span.next("recolor");
-    stage_start = Clock::now();
-    std::vector<int> seed(n, -1);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!dirty[i]) seed[i] = slot_of_[links.id_of(i)];
-    }
+    // Seeded recolor: surviving links keep their final slot; only dirty
+    // links are first-fit colored against their conflict rows.
+    stage.next(report.times.slot(Stage::kRecolor));
     const auto recolored =
         coloring::greedy_recolor_rows(dirty_indices, neighbor_rows, seed);
-    report.timings.recolor_ms += ms_since(stage_start);
 
     // Slot carry-over + patch repair. Soundness does NOT assume oracle
     // monotonicity under member departure (the power-control oracle's
@@ -665,8 +643,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // oracle is deterministic, so the old certificate applies verbatim);
     // any class that shrank is re-checked — and repacked if the oracle now
     // rejects it — before serving as a kept sub-slot or a final slot.
-    stage_span.next("repair");
-    stage_start = Clock::now();
+    stage.next(report.times.slot(Stage::kRepair));
     const auto oracle = core::oracle_for_mode(links, config);
     std::vector<std::vector<std::size_t>> classes(
         static_cast<std::size_t>(recolored.num_colors));
@@ -679,7 +656,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
       std::vector<std::size_t> kept;
       std::vector<std::size_t> loose;
       for (const auto i : members) {
-        (dirty[i] ? loose : kept).push_back(i);
+        (seed[i] < 0 ? loose : kept).push_back(i);
       }
       // Unchanged membership <=> every previous member survived clean; the
       // old certificate then applies verbatim (oracles are deterministic).
@@ -703,10 +680,9 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
       }
     }
     report.valid = schedule::is_partition(final_schedule, n);
-    report.timings.repair_ms += ms_since(stage_start);
   }
 
-  stage_span.close();
+  stage.close();
   report.slots = final_schedule.length();
   report.rate = final_schedule.empty() ? 0.0 : final_schedule.coloring_rate();
 
@@ -737,8 +713,8 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
         "not per-slot Perron vectors");
   }
   if (slot_powers_current_) return slot_powers_;
-  obs::Span span("power");
-  const auto start = Clock::now();
+  const double power_mark = report_.times[Stage::kPower];
+  obs::StageSpan stage(report_.times.slot(Stage::kPower));
   const auto& links = current_.links;
   const auto link_ids = links.ids();  // increasing (store snapshot order)
   const auto dense_of = [&](geom::LinkId id) {
@@ -816,21 +792,22 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
   });
 
   slot_powers_current_ = true;
-  const double elapsed = ms_since(start);
-  report_.timings.power_ms += elapsed;
-  planner_metrics().power_ms.record(elapsed);
+  stage.close();
+  planner_metrics().power_ms.record(report_.times[Stage::kPower] - power_mark);
   return slot_powers_;
 }
 
 void DynamicPlanner::run_audit(EpochReport& report) {
-  obs::Span span("audit");
-  const auto audit_start = Clock::now();
+  // The audit is one leaf of the epoch's table. Its span encloses a whole
+  // from-scratch plan, whose stages go to that plan's own table.
+  obs::StageSpan stage(report.times.slot(Stage::kAudit));
   auto config = options_.config;
   config.sink = current_.sink;  // compact index of the stable sink id
 
-  const auto full_start = Clock::now();
-  const auto full = core::plan_aggregation(current_.points, config);
-  report.audit_full_ms = ms_since(full_start);
+  core::StageTimes full_times;
+  const auto full = core::plan_aggregation(current_.points, config,
+                                           &full_times);
+  report.audit_full_ms = full_times.total_ms();
   report.audit_full_slots = full.schedule().length();
   report.audit_full_rate = full.rate();
 
@@ -893,7 +870,6 @@ void DynamicPlanner::run_audit(EpochReport& report) {
                                               all_links);
 
   report.audited = true;
-  report.timings.audit_ms = ms_since(audit_start);
   if (!report.audit_ok()) planner_metrics().audit_failures.add();
 }
 
@@ -936,12 +912,12 @@ void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {
                                   conflict_stats_mark_.row_cache_evictions);
   conflict_stats_mark_ = conflict_stats;
 
-  const EpochTimings& t = report.timings;
+  const core::StageTimes& t = report.times;
   metrics.epoch_ms.record(t.incremental_ms());
-  metrics.mst_ms.record(t.mst_ms());
-  metrics.conflict_ms.record(t.conflict_ms);
-  metrics.recolor_ms.record(t.recolor_ms);
-  metrics.repair_ms.record(t.repair_ms);
+  metrics.mst_ms.record(t.tree_ms());
+  metrics.conflict_ms.record(t.conflict_ms());
+  metrics.recolor_ms.record(t.coloring_ms());
+  metrics.repair_ms.record(t[Stage::kRepair]);
   metrics.dirty_per_epoch.record(static_cast<double>(report.dirty_links));
 }
 

@@ -30,40 +30,6 @@ struct DynamicOptions {
   void validate() const;
 };
 
-/// Wall-clock breakdown of one epoch, milliseconds. audit_ms covers only the
-/// from-scratch replan of audit mode, so incremental_ms() is the honest cost
-/// of the incremental engine. power_ms covers on-demand slot-power
-/// materialization (slot_powers()), which runs only when a consumer asks.
-struct EpochTimings {
-  /// Tree-layer cost, split so a dynamic-tree regression is visible
-  /// separately from orientation-replay cost:
-  ///   mst_update_ms — IncrementalMst point updates (dynamic-tree
-  ///                   link/cut/path_max work, grid upkeep, bulk rebuilds);
-  ///   orient_ms     — replaying the journaled edge diff onto the
-  ///                   LinkStore (rehang flips, length refreshes) plus the
-  ///                   dense per-epoch snapshot build.
-  double mst_update_ms = 0.0;
-  double orient_ms = 0.0;
-  /// Total conflict-layer cost: index maintenance + row queries. Split
-  /// below so an index-upkeep regression is visible separately from query
-  /// cost.
-  double conflict_ms = 0.0;
-  double conflict_maintain_ms = 0.0;  ///< ConflictIndex add/remove/update
-  double conflict_query_ms = 0.0;     ///< dirty-row queries / graph assembly
-  double recolor_ms = 0.0;  ///< dirty detection + seeded recoloring
-  double repair_ms = 0.0;   ///< slot carry-over + patch repair
-  double power_ms = 0.0;    ///< on-demand per-slot power materialization
-  double audit_ms = 0.0;    ///< audit-mode full replan + full verification
-
-  /// The whole MST component of the epoch (tree updates + orientation).
-  [[nodiscard]] double mst_ms() const noexcept {
-    return mst_update_ms + orient_ms;
-  }
-  [[nodiscard]] double incremental_ms() const noexcept {
-    return mst_ms() + conflict_ms + recolor_ms + repair_ms;
-  }
-};
-
 /// What one epoch did and produced.
 struct EpochReport {
   std::size_t epoch = 0;              ///< 0 is the initial full plan
@@ -97,7 +63,11 @@ struct EpochReport {
   /// previous one; audit mode re-checks everything from scratch.
   bool valid = false;
 
-  EpochTimings timings;
+  /// Per-stage milliseconds of this epoch. Epoch 0 (the open) counts the
+  /// seed tree build as mst_update; full-replan epochs add verify; audit
+  /// and on-demand power materialization (slot_powers()) get their own
+  /// entries, outside incremental_ms().
+  core::StageTimes times;
 
   // ---- audit mode only ----
   bool audited = false;
@@ -115,7 +85,7 @@ struct EpochReport {
   bool audit_index_match = false;
   std::size_t audit_full_slots = 0;  ///< schedule length of the full replan
   double audit_full_rate = 0.0;
-  double audit_full_ms = 0.0;        ///< wall clock of the full replan
+  double audit_full_ms = 0.0;  ///< stage total of the from-scratch plan
 
   /// True unless an audit ran and any of its four verdicts failed. Every
   /// consumer that counts an epoch as verified reads this, so none can
@@ -243,7 +213,7 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// demand. Vectors are cached across epochs keyed by the slot's stable-id
   /// membership and validated against the store's generation counters, so
   /// carried-over slots skip power_control_feasible entirely. The cost and
-  /// hit counts land in last_report().timings.power_ms /
+  /// hit counts land in last_report()'s power stage /
   /// power_slots_cached / power_slots_computed. Throws std::logic_error for
   /// fixed-power modes (their assignment is sinr::*_power, not per-slot).
   [[nodiscard]] const std::vector<sinr::PowerAssignment>& slot_powers();

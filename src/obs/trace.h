@@ -164,47 +164,60 @@ class Span {
   std::uint64_t start_ns_ = 0;
 };
 
-/// Manual span rotation for straight-line stage sequences: next("b") closes
-/// the current span and opens the next back-to-back (shared timestamp, so
-/// consecutive stages tile without gap or overlap), close()/destruction ends
-/// the last one. Fits code like DynamicPlanner::replan where stages are
-/// sequential statements in one scope and RAII blocks would force
-/// restructuring.
+/// Where a StageSpan accounts its time: the stage's span name (a string
+/// literal) and its entry in the caller's stage table (non-null), which the
+/// span adds each closed stage's milliseconds to.
+struct StageSlot {
+  const char* name = nullptr;
+  double* ms = nullptr;
+};
+
+/// The stage clock: the one timer of a planner stage. Each stage boundary
+/// reads the clock once, adds the elapsed time to the stage's slot, and —
+/// when the tracer was enabled as the stage opened — records the trace
+/// event from the same two timestamps, so the table and the span tree
+/// cannot disagree. next(slot) closes the current stage and opens the next
+/// at the same instant (consecutive stages tile without gap or overlap);
+/// close()/destruction ends the last one. Fits code like
+/// DynamicPlanner::replan where stages are sequential statements in one
+/// scope and RAII blocks would force restructuring.
 class StageSpan {
  public:
-  explicit StageSpan(const char* name) noexcept {
-    Tracer& tracer = Tracer::global();
-    if (tracer.enabled()) {
-      name_ = name;
-      start_ns_ = tracer.now_ns();
-    }
+  explicit StageSpan(StageSlot slot) noexcept {
+    open(slot, Tracer::global().now_ns());
   }
   ~StageSpan() { close(); }
 
-  /// Ends the current stage and starts `name` at the same instant.
-  void next(const char* name) noexcept {
-    if (name_ == nullptr) return;
-    Tracer& tracer = Tracer::global();
-    const std::uint64_t now = tracer.now_ns();
-    tracer.record(name_, start_ns_, now);
-    name_ = name;
-    start_ns_ = now;
-  }
+  /// Ends the current (open) stage and starts `slot`'s at the same instant.
+  void next(StageSlot slot) noexcept { open(slot, finish()); }
 
   /// Ends the current stage (idempotent).
   void close() noexcept {
-    if (name_ == nullptr) return;
-    Tracer& tracer = Tracer::global();
-    tracer.record(name_, start_ns_, tracer.now_ns());
-    name_ = nullptr;
+    if (slot_.ms != nullptr) (void)finish();
+    slot_ = {};
   }
 
   StageSpan(const StageSpan&) = delete;
   StageSpan& operator=(const StageSpan&) = delete;
 
  private:
-  const char* name_ = nullptr;
+  void open(StageSlot slot, std::uint64_t now) noexcept {
+    slot_ = slot;
+    start_ns_ = now;
+    traced_ = Tracer::global().enabled();
+  }
+  /// Closes the current stage at one clock read, returned for next().
+  std::uint64_t finish() noexcept {
+    Tracer& tracer = Tracer::global();
+    const std::uint64_t now = tracer.now_ns();
+    *slot_.ms += static_cast<double>(now - start_ns_) / 1e6;
+    if (traced_) tracer.record(slot_.name, start_ns_, now);
+    return now;
+  }
+
+  StageSlot slot_;
   std::uint64_t start_ns_ = 0;
+  bool traced_ = false;
 };
 
 }  // namespace wagg::obs

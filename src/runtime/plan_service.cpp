@@ -89,18 +89,7 @@ void execute_session_request(const PlanRequest& request,
     if (epoch_valid) ++outcome.epochs_valid;
     all_valid = all_valid && epoch_valid;
     if (report.epoch > 0 && report.full_replan) ++outcome.full_replans;
-    // Fold epoch timings into the batch stage summaries: the incremental
-    // stages map onto their closest static counterparts, audit onto verify.
-    outcome.timings.tree_ms += report.timings.mst_ms();
-    outcome.mst_update_ms += report.timings.mst_update_ms;
-    outcome.orient_ms += report.timings.orient_ms;
-    outcome.timings.conflict_ms += report.timings.conflict_ms;
-    outcome.conflict_maintain_ms += report.timings.conflict_maintain_ms;
-    outcome.conflict_query_ms += report.timings.conflict_query_ms;
-    outcome.timings.coloring_ms += report.timings.recolor_ms;
-    outcome.timings.repair_ms += report.timings.repair_ms;
-    outcome.timings.power_ms += report.timings.power_ms;
-    outcome.timings.verify_ms += report.timings.audit_ms;
+    outcome.times += report.times;
   }
   const auto& final_report = reports.back();
   const auto& snapshot = planner.snapshot();
@@ -235,9 +224,8 @@ PlanOutcome execute_request(const PlanRequest& request,
       metrics.request_ms.record(outcome.total_ms);
       return outcome;
     }
-    core::StageTimings timings;
     auto plan = core::plan_aggregation(request.points, request.config,
-                                       &timings);
+                                       &outcome.times);
     outcome.ok = true;
     outcome.num_links = plan.tree.links.size();
     outcome.slots = plan.schedule().length();
@@ -246,7 +234,6 @@ PlanOutcome execute_request(const PlanRequest& request,
     outcome.rate = plan.rate();
     outcome.verified = plan.verified();
     outcome.digest = plan_digest(plan);
-    outcome.timings = timings;
     if (keep_plan) {
       outcome.plan =
           std::make_shared<const core::PlanResult>(std::move(plan));
@@ -271,47 +258,28 @@ BatchStats summarize(const std::vector<PlanOutcome>& outcomes,
   stats.total = outcomes.size();
   stats.wall_ms = wall_ms;
 
-  util::Samples tree, conflict, coloring, repair, verify, power, queue, total;
-  util::Samples conflict_maintain, conflict_query;
-  util::Samples mst_update, orient;
+  std::array<util::Samples, core::kNumStages> stages;
+  util::Samples queue, total;
   for (const auto& outcome : outcomes) {
     // Queue wait is a service property, not a planning property: failed
     // requests waited too, so they count.
     queue.add(outcome.queue_ms);
     if (outcome.ok) {
       ++stats.succeeded;
-      tree.add(outcome.timings.tree_ms);
-      conflict.add(outcome.timings.conflict_ms);
-      if (outcome.epochs > 0) {
-        // Only churn sessions maintain a conflict index / incremental MST;
-        // static plans would dilute the splits with structural zeros.
-        conflict_maintain.add(outcome.conflict_maintain_ms);
-        conflict_query.add(outcome.conflict_query_ms);
-        mst_update.add(outcome.mst_update_ms);
-        orient.add(outcome.orient_ms);
-        // outcome.epochs counts the initial full plan; throughput counts
-        // the incremental advances only.
-        stats.session_epochs += outcome.epochs - 1;
+      for (std::size_t s = 0; s < core::kNumStages; ++s) {
+        stages[s].add(outcome.times.ms[s]);
       }
-      coloring.add(outcome.timings.coloring_ms);
-      repair.add(outcome.timings.repair_ms);
-      verify.add(outcome.timings.verify_ms);
-      power.add(outcome.timings.power_ms);
+      // outcome.epochs counts the initial full plan; throughput counts the
+      // incremental advances only.
+      if (outcome.epochs > 0) stats.session_epochs += outcome.epochs - 1;
       total.add(outcome.total_ms);
     } else {
       ++stats.failed;
     }
   }
-  stats.tree = summarize_stage(tree);
-  stats.mst_update = summarize_stage(mst_update);
-  stats.orient = summarize_stage(orient);
-  stats.conflict = summarize_stage(conflict);
-  stats.conflict_maintain = summarize_stage(conflict_maintain);
-  stats.conflict_query = summarize_stage(conflict_query);
-  stats.coloring = summarize_stage(coloring);
-  stats.repair = summarize_stage(repair);
-  stats.verify = summarize_stage(verify);
-  stats.power = summarize_stage(power);
+  for (std::size_t s = 0; s < core::kNumStages; ++s) {
+    stats.stages[s] = summarize_stage(stages[s]);
+  }
   stats.queue = summarize_stage(queue);
   stats.total_latency = summarize_stage(total);
   if (wall_ms > 0.0) {

@@ -1,6 +1,7 @@
 #ifndef WAGG_RUNTIME_PLAN_SERVICE_H
 #define WAGG_RUNTIME_PLAN_SERVICE_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -69,17 +70,10 @@ struct PlanOutcome {
   std::size_t epochs = 0;        ///< epochs planned, incl. the initial plan
   std::size_t epochs_valid = 0;  ///< epochs whose plan was valid
   std::size_t full_replans = 0;  ///< mutation epochs that hit the fallback
-  /// Conflict-layer split across the session: persistent-index upkeep vs
-  /// dirty-row queries (their sum is timings.conflict_ms for sessions).
-  double conflict_maintain_ms = 0.0;
-  double conflict_query_ms = 0.0;
-  /// Tree-layer split across the session: IncrementalMst dynamic-tree
-  /// updates vs orientation-diff replay + snapshot builds (their sum is
-  /// timings.tree_ms for sessions).
-  double mst_update_ms = 0.0;
-  double orient_ms = 0.0;
 
-  core::StageTimings timings;
+  /// Per-stage milliseconds: the plan's stages, or a session's summed over
+  /// its epochs (the open included).
+  core::StageTimes times;
   double total_ms = 0.0;  ///< wall clock for the whole request
   /// Enqueue-to-start latency: how long the request waited in the service
   /// queue before a worker picked it up (0 for direct execute_request).
@@ -131,22 +125,8 @@ struct BatchStats {
   /// Zero when the batch had no churn sessions.
   std::size_t session_epochs = 0;
   double session_epochs_per_sec = 0.0;
-  StageSummary tree;
-  /// Session requests only: the tree stage split into dynamic-tree MST
-  /// updates vs orientation-diff replay (empty when the batch had no churn
-  /// sessions).
-  StageSummary mst_update;
-  StageSummary orient;
-  StageSummary conflict;
-  /// Session requests only: the conflict stage split into persistent-index
-  /// maintenance vs row queries (empty when the batch had no churn
-  /// sessions).
-  StageSummary conflict_maintain;
-  StageSummary conflict_query;
-  StageSummary coloring;
-  StageSummary repair;
-  StageSummary verify;
-  StageSummary power;
+  /// Per leaf stage (indexed by core::Stage) across succeeded requests.
+  std::array<StageSummary, core::kNumStages> stages;
   StageSummary queue;          ///< enqueue-to-start wait per request
   StageSummary total_latency;  ///< per-request end-to-end
 };

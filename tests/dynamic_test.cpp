@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstddef>
+#include <limits>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -13,8 +15,10 @@
 #include "mst/incremental.h"
 #include "mst/mst.h"
 #include "obs/metrics.h"
+#include "obs/profile.h"
 #include "runtime/plan_service.h"
 #include "schedule/verify.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -750,6 +754,88 @@ TEST(DynamicPlanner, TinyThresholdForcesFullReplanAndStaysValid) {
   }
 }
 
+// ------------------------------------------------------------ stage clock
+
+/// Every stage's entry equals the self time of its spans in the tracer,
+/// which this then clears: one clock feeds both. The orient span also
+/// holds the index upkeep that the table moves to conflict_maintain.
+void expect_one_clock(const core::StageTimes& times,
+                      const std::string& where) {
+  std::map<std::string, double> self;
+  for (const auto& row : obs::profile_global_tracer().rows) {
+    self[row.name] = row.exclusive_ms;
+  }
+  obs::Tracer::global().clear();
+  for (std::size_t s = 0; s < core::kNumStages; ++s) {
+    const auto stage = static_cast<core::Stage>(s);
+    if (stage == core::Stage::kConflictMaintain) continue;
+    const double carved = stage == core::Stage::kOrient
+                              ? times[core::Stage::kConflictMaintain]
+                              : 0.0;
+    EXPECT_NEAR(self[core::stage_name(stage)], times[stage] + carved, 1e-6)
+        << where << ": " << core::stage_name(stage);
+  }
+}
+
+TEST(StageClock, SpansAndReportsShareOneClock) {
+  const auto points = workload::make_family("uniform", 512, 3);
+  obs::Tracer::global().enable();
+  obs::Tracer::global().clear();
+  for (const auto mode :
+       {core::PowerMode::kGlobal, core::PowerMode::kOblivious}) {
+    // The last fraction sends every epoch through the full replan.
+    for (const auto& [rate, fraction] :
+         {std::pair{0.01, 0.35}, {0.05, 0.35}, {0.05, 0.01}}) {
+      ChurnParams params;
+      params.epochs = 4;
+      params.rate = rate;
+      DynamicOptions options;
+      options.config = workload::mode_config(mode);
+      options.full_replan_fraction = fraction;
+      const bool powers = mode == core::PowerMode::kGlobal;
+      const std::string name = core::to_string(mode) + " " +
+                               std::to_string(rate) + "/" +
+                               std::to_string(fraction);
+      DynamicPlanner planner(points, options);
+      if (powers) (void)planner.slot_powers();
+      expect_one_clock(planner.last_report().times, name + " open");
+      for (const auto& epoch : make_churn_trace(points, params, 17)) {
+        const auto report = planner.apply(epoch);
+        if (powers) (void)planner.slot_powers();
+        EXPECT_EQ(report.full_replan, fraction < 0.35) << name;
+        expect_one_clock(planner.last_report().times, name);
+      }
+    }
+  }
+  // Static plans run the same stage spans.
+  core::StageTimes times;
+  (void)core::plan_aggregation(
+      points, workload::mode_config(core::PowerMode::kGlobal), &times);
+  EXPECT_GT(times[core::Stage::kPower], 0.0);
+  expect_one_clock(times, "static plan");
+  obs::Tracer::global().disable();
+}
+
+TEST(StageClock, OpenTimesTheSeedTreeAsMstUpdate) {
+  const auto points = workload::make_family("uniform", 1024, 4);
+  double prim_ms = std::numeric_limits<double>::infinity();  // best of 3
+  for (int rep = 0; rep < 3; ++rep) {
+    const auto start = util::Clock::now();
+    (void)mst::euclidean_mst(points);
+    prim_ms = std::min(prim_ms, util::ms_since(start));
+  }
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kOblivious);
+  obs::Tracer::global().enable();
+  const DynamicPlanner planner(points, options);
+  obs::Tracer::global().disable();
+  EXPECT_EQ(obs::profile_global_tracer().root_count, 1u);  // one epoch span
+  // The seed Prim runs inside the open's mst_update stage.
+  EXPECT_GT(planner.last_report().times[core::Stage::kMstUpdate],
+            0.5 * prim_ms);
+  expect_one_clock(planner.last_report().times, "open");
+}
+
 TEST(DynamicPlanner, RejectsIllegalMutations) {
   const auto points = workload::make_family("uniform", 8, 1);
   DynamicOptions options;
@@ -820,15 +906,9 @@ TEST(PlanServiceSessions, ChurnRequestsRunThroughBatches) {
     EXPECT_EQ(outcome.epochs_valid, 5u) << outcome.tags;
     EXPECT_TRUE(outcome.verified);
     EXPECT_GT(outcome.rate, 0.0);
-    // Sessions split the conflict stage exactly into index maintenance +
-    // row queries, and the tree stage into MST updates + orientation.
-    EXPECT_NEAR(outcome.timings.conflict_ms,
-                outcome.conflict_maintain_ms + outcome.conflict_query_ms,
-                1e-9);
-    EXPECT_GT(outcome.conflict_maintain_ms, 0.0);
-    EXPECT_NEAR(outcome.timings.tree_ms,
-                outcome.mst_update_ms + outcome.orient_ms, 1e-9);
-    EXPECT_GT(outcome.orient_ms, 0.0);
+    // Sessions time index maintenance and orientation as their own stages.
+    EXPECT_GT(outcome.times[core::Stage::kConflictMaintain], 0.0);
+    EXPECT_GT(outcome.times[core::Stage::kOrient], 0.0);
   }
 
   // Same digests at any worker count (sessions are deterministic).

@@ -338,10 +338,11 @@ class TracerTest : public ::testing::Test {
 };
 
 TEST_F(TracerTest, DisabledTracerRecordsNothing) {
+  double a_ms = 0.0, b_ms = 0.0;
   {
     Span span("never-kept");
-    StageSpan stage("also-never-kept");
-    stage.next("still-nothing");
+    StageSpan stage({"also-never-kept", &a_ms});
+    stage.next({"still-nothing", &b_ms});
   }
   EXPECT_EQ(Tracer::global().recorded_events(), 0u);
   EXPECT_EQ(Tracer::global().dropped_events(), 0u);
@@ -442,24 +443,31 @@ TEST_F(TracerTest, MultiThreadSpansStayPerThreadAndWellNested) {
 TEST_F(TracerTest, StageSpanTilesWithoutGapOrOverlap) {
   Tracer& tracer = Tracer::global();
   tracer.enable();
+  double a_ms = 0.0, b_ms = 0.0;
   {
-    StageSpan stage("stage.a");
-    stage.next("stage.b");
-    stage.next("stage.c");
+    StageSpan stage({"stage.a", &a_ms});
+    stage.next({"stage.b", &b_ms});
+    stage.next({"stage.a", &a_ms});
     stage.close();
-    stage.close();  // idempotent: no fourth event
+    stage.close();  // idempotent: no fourth event, no double count
   }
   tracer.disable();
 
-  auto events = parse_trace(tracer.chrome_trace_json());
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].name, "stage.a");
-  EXPECT_EQ(events[1].name, "stage.b");
-  EXPECT_EQ(events[2].name, "stage.c");
+  const auto spans = tracer.collect();
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].name, "stage.a");
+  EXPECT_EQ(spans[1].name, "stage.b");
+  EXPECT_EQ(spans[2].name, "stage.a");
   // next() hands the closing timestamp straight to the opening span, so
-  // consecutive stages tile exactly (up to the ns -> us export rounding).
-  EXPECT_NEAR(events[0].end_us, events[1].start_us, 1e-3);
-  EXPECT_NEAR(events[1].end_us, events[2].start_us, 1e-3);
+  // consecutive stages tile exactly.
+  EXPECT_EQ(spans[0].end_ns, spans[1].start_ns);
+  EXPECT_EQ(spans[1].end_ns, spans[2].start_ns);
+  // Each slot holds exactly its spans' durations: one clock per boundary.
+  const auto ms = [](const CollectedSpan& span) {
+    return static_cast<double>(span.end_ns - span.start_ns) / 1e6;
+  };
+  EXPECT_DOUBLE_EQ(a_ms, ms(spans[0]) + ms(spans[2]));
+  EXPECT_DOUBLE_EQ(b_ms, ms(spans[1]));
 }
 
 // ------------------------------------------------------------ util bridges

@@ -81,9 +81,10 @@ TEST(PlanService, TimingsAndStatsPopulated) {
   for (const auto& outcome : result.outcomes) {
     ASSERT_TRUE(outcome.ok) << outcome.error;
     EXPECT_GT(outcome.total_ms, 0.0);
-    // Stage clocks are non-negative and bounded by end-to-end wall clock.
-    EXPECT_GE(outcome.timings.tree_ms, 0.0);
-    EXPECT_LE(outcome.timings.total_ms(), outcome.total_ms * 1.5 + 1.0);
+    // Stages are disjoint sub-intervals of the request, so together they
+    // fit inside its wall clock.
+    EXPECT_GT(outcome.times[core::Stage::kMstUpdate], 0.0);
+    EXPECT_LE(outcome.times.total_ms(), outcome.total_ms);
     EXPECT_GT(outcome.slots, 0u);
     EXPECT_GT(outcome.num_links, 0u);
   }

@@ -39,6 +39,18 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 allowed exception (mst/point_grid.h borrows the cell_key
                 mixer only) carries an allow comment.
 
+  stage-clock   Planner stages are timed only by obs::StageSpan, which reads
+                the clock once per stage boundary, adds the elapsed time to
+                the caller's core::StageTimes entry and records the trace
+                event from the same timestamps — so reports, registry
+                histograms and span trees cannot disagree. Clock reads
+                (util::Clock::now, util::ms_since, raw steady or
+                high-resolution clocks) are rejected in src/ except in obs/
+                and util/ (the clock itself), runtime/ (request and mailbox
+                wall clocks, which are not stages) and conflict/
+                (ConflictIndex's own maintain timer, which the planner
+                carves out of orient into conflict_maintain).
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -197,6 +209,10 @@ CLASS_GRID_RE = re.compile(r"\bClassGrid\b")
 # the include path. Anchored so a mention in a comment cannot trip it.
 CLASS_GRID_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*["<](?:[^">]*/)?class_grid\.h[">]')
+STAGE_CLOCK_RE = re.compile(
+    r"\b(?:Clock::now|ms_since|steady_clock|high_resolution_clock)\b")
+# Directories (under src/) that may read the clock directly.
+STAGE_CLOCK_DIRS = ("obs/", "util/", "runtime/", "conflict/")
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -213,6 +229,7 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
     is_mutex_header = relpath.endswith("util/mutex.h")
     in_conflict = (relpath.startswith("src/conflict/") or
                    relpath.startswith("conflict/"))
+    may_read_clock = relpath.removeprefix("src/").startswith(STAGE_CLOCK_DIRS)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -248,11 +265,16 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                        "including conflict/class_grid.h outside "
                        "src/conflict/: query through ConflictIndex or "
                        "conflict_neighbors_bucketed")
+        if not may_read_clock and STAGE_CLOCK_RE.search(line):
+            report(idx, "stage-clock",
+                   "clock read outside obs/util/runtime/conflict: time a "
+                   "planner stage with obs::StageSpan on a "
+                   "core::StageTimes slot")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
-             "class-grid"}
+             "class-grid", "stage-clock"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
