@@ -1,11 +1,19 @@
 #include "sinr/feasibility.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
+#include "obs/metrics.h"
+#include "util/parallel.h"
 
 namespace wagg::sinr {
 
@@ -172,6 +180,8 @@ class GainPower {
                       : -1),
         half_alpha_(0.5 * alpha) {}
 
+  [[nodiscard]] bool uses_pow() const noexcept { return quarters_ < 0; }
+
   [[nodiscard]] double operator()(double x) const {
     if (quarters_ < 0) return std::pow(x, half_alpha_);
     double v = (quarters_ & 2) != 0 ? std::sqrt(x) : 1.0;
@@ -180,10 +190,118 @@ class GainPower {
     return v;
   }
 
+#if defined(__SSE2__)
+  /// The scalar operator on two lanes (!uses_pow() only): the same
+  /// correctly rounded square roots and multiplies in the same order, so
+  /// each lane is bit-identical to it.
+  [[nodiscard]] __m128d operator()(__m128d x) const {
+    __m128d v = (quarters_ & 2) != 0 ? _mm_sqrt_pd(x) : _mm_set1_pd(1.0);
+    if ((quarters_ & 1) != 0) v = _mm_mul_pd(v, _mm_sqrt_pd(_mm_sqrt_pd(x)));
+    for (int i = 0; i < quarters_ / 4; ++i) v = _mm_mul_pd(v, x);
+    return v;
+  }
+#endif
+
  private:
   int quarters_;  ///< 2 * alpha, or -1 when pow is needed
   double half_alpha_;
 };
+
+/// Sets with at least this many links split their rows over
+/// util::parallel_for; smaller ones stay on the calling thread. On a 4-vCPU
+/// x86-64 host at alpha = 3, with the helpers asleep before each call (as
+/// between a churn epoch's oracle calls), the split loses at 192 links and
+/// wins from 224 on. The serving runtime's n = 256 sessions stay below it.
+constexpr std::size_t kParallelMinLinks = 256;
+
+/// Consecutive rows a thread claims at once.
+constexpr std::size_t kRowGrain = 8;
+
+/// Rows handed to util::parallel_for, and how many of them helpers ran:
+/// an epoch whose helpers never woke shows a helper share near zero.
+struct RowMetrics {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& rows = reg.counter("sinr.parallel_rows");
+  obs::Counter& helper_rows = reg.counter("sinr.parallel_helper_rows");
+};
+
+RowMetrics& row_metrics() {
+  static RowMetrics metrics;
+  return metrics;
+}
+
+/// Runs row(a) once for every a in [0, k): split over the helper pool from
+/// kParallelMinLinks links on, serially below. Each row runs on exactly one
+/// thread with the same operations, so the split cannot change a bit.
+template <class RowFn>
+void for_each_row(std::size_t k, const RowFn& row) {
+  if (k < kParallelMinLinks) {
+    for (std::size_t a = 0; a < k; ++a) row(a);
+    return;
+  }
+  const std::size_t helper_rows = util::parallel_for(k, kRowGrain, row);
+  row_metrics().rows.add(k);
+  row_metrics().helper_rows.add(helper_rows);
+}
+
+/// The gathered endpoint columns of a set: sender x/y, receiver x/y and
+/// squared length per link.
+struct LinkColumns {
+  std::size_t k = 0;
+  const double* sx = nullptr;
+  const double* sy = nullptr;
+  const double* rx = nullptr;
+  const double* ry = nullptr;
+  const double* len2 = nullptr;
+};
+
+/// Fills row a of M, entries beta * gain(l_a^2 / d_ba^2) with a zero
+/// diagonal, and returns the row's left-to-right sum; clears `in_range`
+/// when an entry leaves [kLinearMin, kLinearMax]. Under SSE2 two entries
+/// are formed at a time with correctly rounded subtract, multiply, divide
+/// and square root, which round every lane exactly as the scalar loop
+/// does; the sum still adds one entry at a time, in order.
+double fill_row(const LinkColumns& c, const GainPower& gain, double beta,
+                std::size_t a, double* row, bool& in_range) {
+  const double rxa = c.rx[a], rya = c.ry[a], len2a = c.len2[a];
+  double sum = 0.0;
+  const auto fill = [&](std::size_t b0, std::size_t b1) {
+    std::size_t b = b0;
+#if defined(__SSE2__)
+    if (!gain.uses_pow()) {
+      const __m128d vrx = _mm_set1_pd(rxa), vry = _mm_set1_pd(rya);
+      const __m128d vlen2 = _mm_set1_pd(len2a), vbeta = _mm_set1_pd(beta);
+      const __m128d vmin = _mm_set1_pd(kLinearMin);
+      const __m128d vmax = _mm_set1_pd(kLinearMax);
+      __m128d ok = _mm_castsi128_pd(_mm_set1_epi64x(-1));  // both lanes
+      for (; b + 2 <= b1; b += 2) {
+        const __m128d dx = _mm_sub_pd(_mm_loadu_pd(c.sx + b), vrx);
+        const __m128d dy = _mm_sub_pd(_mm_loadu_pd(c.sy + b), vry);
+        const __m128d d2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+        const __m128d v = _mm_mul_pd(vbeta, gain(_mm_div_pd(vlen2, d2)));
+        ok = _mm_and_pd(ok, _mm_and_pd(_mm_cmpge_pd(v, vmin),
+                                       _mm_cmple_pd(v, vmax)));
+        _mm_storeu_pd(row + b, v);
+        sum += row[b];
+        sum += row[b + 1];
+      }
+      in_range &= _mm_movemask_pd(ok) == 3;
+    }
+#endif
+    for (; b < b1; ++b) {
+      const double dx = c.sx[b] - rxa;
+      const double dy = c.sy[b] - rya;
+      const double v = beta * gain(len2a / (dx * dx + dy * dy));
+      in_range &= (v >= kLinearMin) & (v <= kLinearMax);
+      row[b] = v;
+      sum += v;
+    }
+  };
+  fill(0, a);
+  row[a] = 0.0;
+  fill(a + 1, c.k);
+  return sum;
+}
 
 /// Sum of a[i] * x[i] with four accumulators, so the adds pipeline.
 double dot(const double* a, const double* x, std::size_t n) noexcept {
@@ -207,6 +325,10 @@ double dot(const double* a, const double* x, std::size_t n) noexcept {
 /// log-space kernel. Returns nullopt when an entry or iterate leaves the
 /// [kLinearMin, kLinearMax] window (d = 0, extreme length ratios); the
 /// caller then runs the log-space kernel.
+///
+/// The matrix build and each matrix-vector product go row by row through
+/// for_each_row; the reductions over rows (ratio, extremes, normalization)
+/// run serially here, so the result does not depend on the split.
 std::optional<PowerControlResult> power_control_linear(
     const geom::LinkView& links, std::span<const std::size_t> set,
     const SinrParams& params, const PowerControlOptions& options) {
@@ -228,43 +350,29 @@ std::optional<PowerControlResult> power_control_linear(
     const double len = links.length(set[a]);
     len2[a] = len * len;
   }
+  const LinkColumns columns{k, sx, sy, rx, ry, len2};
 
   // M_ab = beta * (l_a^2 / d_ba^2)^(alpha/2), row-major, zero diagonal. The
   // build also yields M * (all ones), the first iteration's product.
   const GainPower gain(params.alpha);
-  const double beta = params.beta;
   const auto m = std::make_unique_for_overwrite<double[]>(k * k);
   std::vector<double> x(k, 1.0), y(k);
-  for (std::size_t a = 0; a < k; ++a) {
-    double* const row = m.get() + a * k;
-    const double rxa = rx[a], rya = ry[a], len2a = len2[a];
+  std::atomic<bool> out_of_range{false};
+  for_each_row(k, [&](std::size_t a) {
     bool in_range = true;
-    double sum = 0.0;
-    const auto fill = [&](std::size_t b0, std::size_t b1) {
-      for (std::size_t b = b0; b < b1; ++b) {
-        const double dx = sx[b] - rxa;
-        const double dy = sy[b] - rya;
-        const double v = beta * gain(len2a / (dx * dx + dy * dy));
-        in_range &= (v >= kLinearMin) & (v <= kLinearMax);
-        row[b] = v;
-        sum += v;
-      }
-    };
-    fill(0, a);
-    row[a] = 0.0;
-    fill(a + 1, k);
-    if (!in_range) return std::nullopt;
-    y[a] = sum;
-  }
+    y[a] = fill_row(columns, gain, params.beta, a, m.get() + a * k, in_range);
+    if (!in_range) out_of_range.store(true, std::memory_order_relaxed);
+  });
+  if (out_of_range.load(std::memory_order_relaxed)) return std::nullopt;
 
   PowerControlResult result;
   double rho_upper = kInf;
   for (int iter = 0; iter < options.max_iterations; ++iter) {
     ++result.iterations;
     if (iter > 0) {
-      for (std::size_t a = 0; a < k; ++a) {
+      for_each_row(k, [&](std::size_t a) {
         y[a] = dot(m.get() + a * k, x.data(), k);
-      }
+      });
     }
     double max_ratio = 0.0;
     double max_y = 0.0;

@@ -70,6 +70,14 @@ struct FeasibilityReport {
 /// log-space kernel power_control_feasible_log2 instead. Both kernels share
 /// the start vector, the acceptance and stopping rules and the returned
 /// vector, so their verdicts and iteration counts agree.
+///
+/// The linear kernel fills each matrix row two entries at a time with SSE2
+/// (where available) and, from 256 links on, splits the matrix build and
+/// every matrix-vector product by rows over util::parallel_for. Each row is
+/// computed by one thread with the same correctly rounded operations in the
+/// same order, and every reduction over rows runs on the calling thread, so
+/// the result is bit-identical to a scalar single-threaded run whatever the
+/// core count. Safe to call from several threads at once.
 struct PowerControlResult {
   bool feasible = false;
   /// Spectral radius estimate of M; feasible iff < 1 and no shared node.

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstddef>
+#include <iterator>
 #include <limits>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/planner.h"
@@ -10,6 +16,7 @@
 #include "instance/lowerbound.h"
 #include "mst/mst.h"
 #include "mst/tree.h"
+#include "obs/metrics.h"
 #include "sinr/feasibility.h"
 #include "sinr/interference.h"
 #include "sinr/model.h"
@@ -437,6 +444,215 @@ TEST(PowerControl, OutOfRangeSetsTakeTheLogSpaceKernel) {
       expect_log_space(tree.links, set, prm, "noise");
     }
   }
+}
+
+/// A scalar, single-threaded copy of the linear kernel as it was before its
+/// rows were split over threads and filled two entries at a time: the
+/// reference that power_control_feasible must match bit for bit.
+namespace reference {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kLinearMin = 0x1p-900;
+constexpr double kLinearMax = 0x1p+900;
+
+double gain_power(double alpha, double x) {
+  const int quarters = alpha <= 16.0 && 2.0 * alpha == std::round(2.0 * alpha)
+                           ? static_cast<int>(2.0 * alpha)
+                           : -1;
+  if (quarters < 0) return std::pow(x, 0.5 * alpha);
+  double v = (quarters & 2) != 0 ? std::sqrt(x) : 1.0;
+  if ((quarters & 1) != 0) v *= std::sqrt(std::sqrt(x));
+  for (int i = 0; i < quarters / 4; ++i) v *= x;
+  return v;
+}
+
+double dot(const double* a, const double* x, std::size_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * x[i];
+    s1 += a[i + 1] * x[i + 1];
+    s2 += a[i + 2] * x[i + 2];
+    s3 += a[i + 3] * x[i + 3];
+  }
+  for (; i < n; ++i) s0 += a[i] * x[i];
+  return (s0 + s1) + (s2 + s3);
+}
+
+/// nullopt where the kernel hands the set to the log-space kernel.
+std::optional<PowerControlResult> linear(const geom::LinkView& links,
+                                         std::span<const std::size_t> set,
+                                         const SinrParams& params) {
+  const PowerControlOptions options;
+  const std::size_t k = set.size();
+  std::vector<double> sx(k), sy(k), rx(k), ry(k), len2(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    sx[a] = links.sender_pos(set[a]).x;
+    sy[a] = links.sender_pos(set[a]).y;
+    rx[a] = links.receiver_pos(set[a]).x;
+    ry[a] = links.receiver_pos(set[a]).y;
+    const double len = links.length(set[a]);
+    len2[a] = len * len;
+  }
+  std::vector<double> m(k * k), x(k, 1.0), y(k);
+  for (std::size_t a = 0; a < k; ++a) {
+    bool in_range = true;
+    double sum = 0.0;
+    for (std::size_t b = 0; b < k; ++b) {
+      if (b == a) continue;
+      const double dx = sx[b] - rx[a];
+      const double dy = sy[b] - ry[a];
+      const double v =
+          params.beta * gain_power(params.alpha,
+                                   len2[a] / (dx * dx + dy * dy));
+      in_range &= (v >= kLinearMin) & (v <= kLinearMax);
+      m[a * k + b] = v;
+      sum += v;
+    }
+    if (!in_range) return std::nullopt;
+    y[a] = sum;
+  }
+  PowerControlResult result;
+  double rho_upper = kInf;
+  for (int iter = 0; iter < options.max_iterations; ++iter) {
+    ++result.iterations;
+    if (iter > 0) {
+      for (std::size_t a = 0; a < k; ++a) y[a] = dot(&m[a * k], x.data(), k);
+    }
+    double max_ratio = 0.0, max_y = 0.0, min_y = kInf;
+    for (std::size_t a = 0; a < k; ++a) {
+      max_ratio = std::max(max_ratio, y[a] / x[a]);
+      max_y = std::max(max_y, y[a]);
+      min_y = std::min(min_y, y[a]);
+    }
+    if (!(min_y >= kLinearMin && max_y <= kLinearMax)) return std::nullopt;
+    const bool upper_conclusive = max_ratio < 1.0 - options.strictness;
+    const bool converged = std::isfinite(rho_upper) &&
+                           std::abs(max_ratio - rho_upper) <=
+                               options.tolerance * std::max(1.0, rho_upper);
+    rho_upper = max_ratio;
+    if (upper_conclusive && iter > 0) break;
+    if (!(min_y / max_y >= kLinearMin)) return std::nullopt;
+    for (std::size_t a = 0; a < k; ++a) x[a] = y[a] / max_y;
+    if (converged) break;
+  }
+  result.spectral_radius = rho_upper;
+  if (rho_upper < 1.0 - options.strictness) {
+    result.log2_power.resize(k);
+    for (std::size_t a = 0; a < k; ++a) result.log2_power[a] = std::log2(x[a]);
+    result.feasible = true;
+  }
+  return result;
+}
+
+}  // namespace reference
+
+/// MST links with no shared node whose endpoints all keep `spacing` from
+/// every earlier pick's, scanned in a seeded random order: the wider the
+/// spacing, the lower the interference, so prefixes of one list give sets
+/// of any size on both sides of the feasibility threshold.
+std::vector<std::size_t> spaced_links(const geom::LinkView& links,
+                                      double spacing, std::uint64_t seed) {
+  std::vector<std::size_t> order(links.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  util::Rng rng(seed);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  const double min_d2 = spacing * spacing;
+  std::vector<geom::Point> taken;
+  std::vector<std::size_t> picked;
+  for (const std::size_t i : order) {
+    const geom::Point ends[] = {links.sender_pos(i), links.receiver_pos(i)};
+    const bool clear = std::all_of(taken.begin(), taken.end(), [&](const auto& q) {
+      return std::all_of(std::begin(ends), std::end(ends), [&](const auto& p) {
+        return (p.x - q.x) * (p.x - q.x) + (p.y - q.y) * (p.y - q.y) >= min_d2;
+      });
+    });
+    if (!clear) continue;
+    picked.push_back(i);
+    taken.insert(taken.end(), std::begin(ends), std::end(ends));
+  }
+  return picked;
+}
+
+TEST(PowerControl, RowParallelKernelIsBitIdenticalAndThreadSafe) {
+  // From 256 links on, the linear kernel splits its rows over the helper
+  // pool, and it fills each row two entries at a time. Neither may change
+  // a bit: against the scalar reference, on sizes either side of the split
+  // (the zeroed diagonal cuts each row into two runs, and runs of odd
+  // length end in the scalar tail), at every gain form, accepts and
+  // rejects alike.
+  const auto tree = mst::mst_tree(instance::uniform_square(3000, 100.0, 21), 0);
+  const std::size_t sizes[] = {3, 4, 5, 64, 255, 256, 257, 384, 700};
+  struct Set {
+    std::vector<std::size_t> links;
+    SinrParams params;
+    PowerControlResult expected;
+  };
+  std::vector<Set> sets;
+  for (const double alpha : {3.0, 2.5, 4.0, 2.7}) {
+    for (const double spacing : {0.5, 1.0, 1.5}) {
+      const auto picked = spaced_links(tree.links, spacing, 31);
+      for (const std::size_t k : sizes) {
+        // k = 700 is the churn-global-8k slot size; its dense-spacing
+        // rejects run all 256 iterations, too slow for the TSan job.
+        if (k == 700 && spacing < 1.5) continue;
+        ASSERT_GE(picked.size(), k) << "spacing " << spacing;
+        Set set{{picked.begin(), picked.begin() + static_cast<std::ptrdiff_t>(k)},
+                params(alpha, 1.0),
+                {}};
+        const auto linear = reference::linear(tree.links, set.links, set.params);
+        ASSERT_TRUE(linear.has_value()) << "alpha " << alpha << " k=" << k;
+        set.expected = *linear;
+        sets.push_back(std::move(set));
+      }
+    }
+  }
+
+  obs::Counter& parallel_rows =
+      obs::Registry::global().counter("sinr.parallel_rows");
+  const std::uint64_t rows_before = parallel_rows.value();
+  std::size_t large_accepts = 0, large_rejects = 0;
+  std::uint64_t large_rows = 0;
+  for (const auto& set : sets) {
+    const auto got = power_control_feasible(tree.links, set.links, set.params);
+    EXPECT_TRUE(same_result(got, set.expected))
+        << "alpha " << set.params.alpha << " k=" << set.links.size()
+        << " rho " << got.spectral_radius << " vs "
+        << set.expected.spectral_radius;
+    if (set.links.size() >= 256) {
+      large_rows += set.links.size() * set.expected.iterations;
+      (set.expected.feasible ? large_accepts : large_rejects) += 1;
+    }
+  }
+  EXPECT_GE(large_accepts, 4u);
+  EXPECT_GE(large_rejects, 4u);
+  // Every row of every build and product of a large set went through the
+  // parallel path.
+  EXPECT_EQ(parallel_rows.value() - rows_before, large_rows);
+
+  // Four concurrent callers share the helper pool, each taking every
+  // fourth large set; each still gets the reference result.
+  std::vector<const Set*> large_sets;
+  for (const auto& set : sets) {
+    if (set.links.size() >= 256) large_sets.push_back(&set);
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::size_t i = t; i < large_sets.size(); i += 4) {
+        const Set& set = *large_sets[i];
+        const auto got =
+            power_control_feasible(tree.links, set.links, set.params);
+        if (!same_result(got, set.expected)) ++mismatches;
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(large_sets.size(), 16u);
 }
 
 TEST(Interference, OperatorBasics) {

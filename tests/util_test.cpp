@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/logmath.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -223,6 +228,108 @@ TEST(Table, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(2.0, 3), "2");
   EXPECT_EQ(format_double(0.125, 3), "0.125");
   EXPECT_EQ(format_double(0.1239, 2), "0.12");
+}
+
+TEST(ParallelFor, PoolHasOneHelperPerOtherCore) {
+  const std::size_t cores =
+      std::max(1u, std::thread::hardware_concurrency());
+  EXPECT_EQ(parallel_helpers(), cores - 1);
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce) {
+  for (const std::size_t n : {0, 1, 2, 1000}) {
+    for (const std::size_t grain : {1, 7, 64}) {
+      std::vector<std::atomic<int>> hits(n);
+      const std::size_t by_helpers = parallel_for(
+          n, grain, [&](std::size_t i) { hits[i].fetch_add(1); });
+      EXPECT_LE(by_helpers, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " grain=" << grain
+                                     << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, RethrowsTheLowestIndexOnceEveryIndexFinished) {
+  constexpr std::size_t kN = 1000;
+  std::atomic<std::size_t> finished{0};
+  try {
+    (void)parallel_for(kN, 7, [&](std::size_t i) {
+      if (i == kN - 1) {
+        // A straggler: a rethrow that does not wait for it sees 999.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      finished.fetch_add(1);
+      if (i == 900 || i == 17 || i == 500) {
+        throw std::runtime_error(std::to_string(i));
+      }
+    });
+    FAIL() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "17");
+    EXPECT_EQ(finished.load(), kN);
+  }
+}
+
+TEST(ParallelFor, NestedCallsComplete) {
+  std::vector<std::atomic<int>> hits(8 * 100);
+  (void)parallel_for(8, 1, [&](std::size_t i) {
+    (void)parallel_for(100, 3, [&](std::size_t j) {
+      hits[i * 100 + j].fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, ConcurrentCallersSeeOnlyTheirOwnIndices) {
+  // Callers of different sizes: an index from another caller's call would
+  // overrun the smaller ones' ranges or double a count.
+  std::atomic<int> errors{0};
+  std::vector<std::thread> callers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      const std::size_t n = 500 + 97 * t;
+      for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> hits(n);
+        (void)parallel_for(n, 5, [&](std::size_t i) {
+          if (i >= n) {
+            errors.fetch_add(1);
+          } else {
+            hits[i].fetch_add(1);
+          }
+        });
+        for (const auto& h : hits) {
+          if (h.load() != 1) errors.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(errors.load(), 0);
+}
+
+TEST(ParallelFor, CompletesOnTheCallerWhileAnotherCallHoldsEveryHelper) {
+  // The holder's call parks one index on its own thread and one on each
+  // helper until released, so no helper can serve a second caller.
+  const std::size_t helpers = parallel_helpers();
+  std::atomic<std::size_t> parked{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    (void)parallel_for(helpers + 1, 1, [&](std::size_t) {
+      parked.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  while (parked.load() < helpers + 1) std::this_thread::yield();
+
+  std::vector<std::atomic<int>> hits(100);
+  const std::size_t by_helpers =
+      parallel_for(hits.size(), 1, [&](std::size_t i) { hits[i].fetch_add(1); });
+  release.store(true);
+  holder.join();
+  EXPECT_EQ(by_helpers, 0u);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 }  // namespace

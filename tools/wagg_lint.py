@@ -51,6 +51,14 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 (ConflictIndex's own maintain timer, which the planner
                 carves out of orient into conflict_maintain).
 
+  raw-thread    std::thread, std::jthread and std::async are rejected in
+                src/ outside util/parallel.* (the process-wide helper pool
+                behind util::parallel_for) and runtime/executor.* (the
+                session pool): every thread in the library then belongs to
+                one of the two pools the TSan job and the "caller never
+                waits" contract cover. std::thread::hardware_concurrency()
+                and std::this_thread start nothing and pass.
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -213,6 +221,10 @@ STAGE_CLOCK_RE = re.compile(
     r"\b(?:Clock::now|ms_since|steady_clock|high_resolution_clock)\b")
 # Directories (under src/) that may read the clock directly.
 STAGE_CLOCK_DIRS = ("obs/", "util/", "runtime/", "conflict/")
+RAW_THREAD_RE = re.compile(
+    r"\bstd::(?:j?thread\b(?!\s*::\s*hardware_concurrency)|async\b)")
+# Files (under src/, without extension) that own the library's threads.
+THREAD_POOL_FILES = ("util/parallel", "runtime/executor")
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -230,6 +242,8 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
     in_conflict = (relpath.startswith("src/conflict/") or
                    relpath.startswith("conflict/"))
     may_read_clock = relpath.removeprefix("src/").startswith(STAGE_CLOCK_DIRS)
+    owns_threads = (relpath.removeprefix("src/").rsplit(".", 1)[0]
+                    in THREAD_POOL_FILES)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -270,11 +284,16 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                    "clock read outside obs/util/runtime/conflict: time a "
                    "planner stage with obs::StageSpan on a "
                    "core::StageTimes slot")
+        if not owns_threads and RAW_THREAD_RE.search(line):
+            report(idx, "raw-thread",
+                   "raw thread outside util/parallel and runtime/executor: "
+                   "split work with util::parallel_for or run it on a "
+                   "runtime::Executor queue")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
-             "class-grid", "stage-clock"}
+             "class-grid", "stage-clock", "raw-thread"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
