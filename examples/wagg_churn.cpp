@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     };
 
     // --powers: ship per-slot Perron vectors every epoch, the way a serving
-    // deployment would. Carried-over slots hit the membership-keyed cache.
+    // deployment would. They are read from the plan's slot certificates.
     const bool powers =
         args.has("powers") &&
         options.config.power_mode == core::PowerMode::kGlobal;
@@ -139,8 +139,6 @@ int main(int argc, char** argv) {
     epoch_times.reserve(trace.size());
     core::StageTimes session_times;  // summed over the mutation epochs
     double full_ms = 0.0;
-    std::size_t power_cached = 0;
-    std::size_t power_computed = 0;
     std::size_t fallbacks = 0;
     bool all_valid = true;
     for (const auto& epoch_mutations : trace) {
@@ -151,8 +149,6 @@ int main(int argc, char** argv) {
       epoch_times.push_back(report.times.incremental_ms());
       session_times += report.times;
       full_ms += report.audit_full_ms;
-      power_cached += report.power_slots_cached;
-      power_computed += report.power_slots_computed;
       if (report.full_replan) ++fallbacks;
       all_valid = all_valid && report.valid && report.audit_ok();
     }
@@ -174,10 +170,6 @@ int main(int argc, char** argv) {
                 << " ms/epoch full replan ("
                 << util::format_double(full_ms / incremental_ms, 1)
                 << "x speedup)";
-    }
-    if (powers) {
-      std::cout << ", powers " << power_cached << " cached / "
-                << power_computed << " computed";
     }
     std::cout << ", " << fallbacks << " fallbacks, "
               << (all_valid ? "all epochs valid" : "INVALID EPOCHS") << "\n";

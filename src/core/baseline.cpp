@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "schedule/repair.h"
+
 namespace wagg::core {
 
 LevelScheduleResult level_schedule(const mst::PairingTree& tree,
@@ -22,38 +24,20 @@ LevelScheduleResult level_schedule(const mst::PairingTree& tree,
   for (std::size_t i = 0; i < links.size(); ++i) {
     by_level.at(static_cast<std::size_t>(tree.level_of_link[i])).push_back(i);
   }
-  const auto oracle = oracle_for_mode(links, config);
+  const schedule::JoinRule rule = oracle_for_mode(links, config);
   for (const auto& level_links : by_level) {
-    if (level_links.empty()) {
-      result.slots_per_level.push_back(0);
-      continue;
-    }
-    // Greedy pack the level's links against the exact oracle (levels are
-    // small enough that first-fit with exact checks is affordable, and it
-    // needs no sub-linkset index remapping).
-    std::vector<std::vector<std::size_t>> slots;
-    std::vector<std::size_t> trial;
-    for (std::size_t link : level_links) {
-      bool placed = false;
-      for (auto& slot : slots) {
-        trial = slot;
-        trial.push_back(link);
-        if (oracle(trial)) {
-          slot.push_back(link);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        trial = {link};
-        if (!oracle(trial)) {
-          result.verified = false;
-        }
-        slots.push_back(std::move(trial));
-      }
+    // First-fit the level's links against the exact oracle (levels are
+    // small enough that exact checks are affordable, and it needs no
+    // sub-linkset index remapping). A failed singleton still gets its own
+    // slot; the schedule is then reported unverified.
+    std::vector<schedule::SlotLoad> slots;
+    if (schedule::first_fit(slots, level_links, rule).failed_singletons) {
+      result.verified = false;
     }
     result.slots_per_level.push_back(slots.size());
-    for (auto& slot : slots) result.schedule.slots.push_back(std::move(slot));
+    for (auto& slot : slots) {
+      result.schedule.slots.push_back(std::move(slot.members));
+    }
   }
   return result;
 }

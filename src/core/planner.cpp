@@ -123,22 +123,36 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
   result.colors_before_repair = result.schedule.length();
   stage.close();
 
-  const auto oracle = oracle_for_mode(links, config);
+  // One join rule for the whole plan: power control keeps each accepted
+  // Perron vector; fixed-power repair joins by running loads.
+  const bool global = config.power_mode == PowerMode::kGlobal;
+  const auto rule =
+      global ? schedule::JoinRule::power_control(links, config.sinr)
+             : schedule::JoinRule::running_loads(links, config.sinr,
+                                                 result.power);
   if (config.repair) {
     obs::StageSpan repair_stage(t.slot(Stage::kRepair));
-    // Fixed-power modes use the incremental packer (same output contract,
-    // orders of magnitude faster on large slots).
-    auto repaired =
-        config.power_mode == PowerMode::kGlobal
-            ? schedule::repair_schedule(links, result.schedule, oracle)
-            : schedule::repair_schedule_fixed_power(
-                  links, result.schedule, config.sinr, result.power);
+    auto repaired = schedule::repair_schedule(links, result.schedule, rule);
     result.schedule = std::move(repaired.schedule);
     result.slots_split = repaired.slots_split;
   }
   obs::StageSpan verify_stage(t.slot(Stage::kVerify));
-  result.verification = schedule::verify_schedule(links, result.schedule,
-                                                  oracle);
+  // Verification certifies every final slot from scratch; under global
+  // power each link takes its slot's certified vector entry.
+  std::vector<double> stitched(global ? links.size() : 0, 0.0);
+  result.verification = schedule::verify_schedule(
+      links, result.schedule, [&](std::span<const std::size_t> slot) {
+        schedule::SlotLoad load{.members = {slot.begin(), slot.end()}};
+        if (!rule.certify(load)) return false;
+        for (std::size_t a = 0; a < load.log2_power.size(); ++a) {
+          stitched[load.members[a]] = load.log2_power[a];
+        }
+        return true;
+      });
+  if (global) {
+    result.power =
+        sinr::PowerAssignment(std::move(stitched), "global(stitched)");
+  }
   return result;
 }
 
@@ -167,25 +181,23 @@ PlanResult plan_aggregation(const geom::Pointset& points,
   if (config.power_mode == PowerMode::kGlobal) {
     obs::StageSpan stage(t.slot(Stage::kPower));
     // Materialize the per-slot global power vectors (the actual output of
-    // the power-control algorithm) and stitch a per-link assignment from
-    // each link's home slot for reporting.
-    std::vector<double> stitched(result.tree.links.size(), 0.0);
-    result.slot_powers.reserve(result.scheduling.schedule.length());
-    for (const auto& slot : result.scheduling.schedule.slots) {
-      const auto pc = sinr::power_control_feasible(result.tree.links, slot,
-                                                   config.sinr);
-      sinr::PowerAssignment slot_power =
-          pc.feasible ? sinr::embed_slot_power(result.tree.links, slot, pc)
-                      : sinr::PowerAssignment(
-                            std::vector<double>(result.tree.links.size(), 0.0),
-                            "infeasible-slot");
-      for (std::size_t a = 0; a < slot.size() && pc.feasible; ++a) {
-        stitched[slot[a]] = pc.log2_power[a];
+    // the power-control algorithm) from the certificates verification left
+    // in the stitched assignment; a rejected slot gets a zero vector.
+    const auto& scheduling = result.scheduling;
+    const auto& rejected = scheduling.verification.infeasible_slots;
+    const std::size_t n = result.tree.links.size();
+    result.slot_powers.reserve(scheduling.schedule.length());
+    for (std::size_t s = 0; s < scheduling.schedule.length(); ++s) {
+      std::vector<double> lp(n, 0.0);
+      if (std::binary_search(rejected.begin(), rejected.end(), s)) {
+        result.slot_powers.emplace_back(std::move(lp), "infeasible-slot");
+        continue;
       }
-      result.slot_powers.push_back(std::move(slot_power));
+      for (const auto i : scheduling.schedule.slots[s]) {
+        lp[i] = scheduling.power.log2_power(i);
+      }
+      result.slot_powers.emplace_back(std::move(lp), "power-control");
     }
-    result.scheduling.power =
-        sinr::PowerAssignment(std::move(stitched), "global(stitched)");
   }
   return result;
 }

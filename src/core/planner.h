@@ -148,7 +148,8 @@ struct LinkScheduleResult {
   /// Slots the repair pass had to split (0 when repair disabled or clean).
   std::size_t slots_split = 0;
   /// The fixed power assignment (uniform/linear/oblivious); for kGlobal this
-  /// holds per-link powers stitched from each link's home slot.
+  /// holds per-link powers stitched from each link's home slot, the vectors
+  /// verification certified (0 for links of a slot it rejected).
   sinr::PowerAssignment power;
 
   [[nodiscard]] double rate() const { return schedule.coloring_rate(); }
@@ -197,7 +198,8 @@ struct WarmStart {
 struct PlanResult {
   mst::AggregationTree tree;
   LinkScheduleResult scheduling;
-  /// For kGlobal: log2 power vector per slot (aligned with schedule slots).
+  /// For kGlobal: log2 power vector per slot (aligned with schedule slots),
+  /// materialized from scheduling.power; a rejected slot's is all zero.
   std::vector<sinr::PowerAssignment> slot_powers;
 
   [[nodiscard]] const schedule::Schedule& schedule() const {

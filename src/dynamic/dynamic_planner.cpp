@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -13,7 +14,6 @@
 #include "obs/trace.h"
 #include "schedule/repair.h"
 #include "schedule/verify.h"
-#include "sinr/feasibility.h"
 
 namespace wagg::dynamic {
 
@@ -21,19 +21,8 @@ using core::Stage;
 
 namespace {
 
-/// FNV-1a over a sorted id list — the slot-membership key of the power
-/// cache (collisions are disambiguated by comparing the stored members).
-std::uint64_t membership_key(std::span<const geom::LinkId> ids) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto id : ids) {
-    auto v = static_cast<std::uint64_t>(id);
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (v >> shift) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  return h;
-}
+/// log2_power_of_'s mark for a link whose slot has no certificate.
+constexpr double kNoPower = std::numeric_limits<double>::quiet_NaN();
 
 /// The planner's registry handles, resolved once (registration takes the
 /// registry mutex; after that every epoch publishes against stable
@@ -65,8 +54,6 @@ struct PlannerMetrics {
       reg.counter("conflict.row_cache_invalidations");
   obs::Counter& row_cache_evictions =
       reg.counter("conflict.row_cache_evictions");
-  obs::Counter& power_hits = reg.counter("power.slot_cache_hits");
-  obs::Counter& power_misses = reg.counter("power.slot_cache_misses");
   obs::Histogram& epoch_ms = reg.histogram("dynamic.epoch_ms");
   obs::Histogram& mst_ms = reg.histogram("dynamic.mst_ms");
   obs::Histogram& conflict_ms = reg.histogram("dynamic.conflict_ms");
@@ -264,7 +251,6 @@ std::vector<EpochReport> DynamicPlanner::apply_trace(const ChurnTrace& trace) {
 void DynamicPlanner::invalidate_carried_state() {
   std::fill(slot_of_.begin(), slot_of_.end(), -1);
   prev_slot_count_.clear();
-  power_cache_.clear();
   slot_powers_.clear();
   slot_powers_current_ = false;
   force_reconcile_ = true;
@@ -561,8 +547,8 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   // seed[i] < 0 marks link i dirty.
   // Fixed-power modes with ambient noise couple every power to the global
   // max link length; any change then invalidates every link.
-  const bool noise_coupled = config.power_mode != core::PowerMode::kGlobal &&
-                             config.sinr.noise > 0.0;
+  const bool global = config.power_mode == core::PowerMode::kGlobal;
+  const bool noise_coupled = !global && config.sinr.noise > 0.0;
   if (slot_of_.size() < store_.capacity()) {
     slot_of_.resize(store_.capacity(), -1);
   }
@@ -588,6 +574,9 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   report.full_replan = full;
 
   schedule::Schedule final_schedule;
+  // kGlobal: (dense link, log2 power) of every link whose slot a check
+  // certified this epoch. Links of carried slots keep their entries.
+  std::vector<std::pair<std::size_t, double>> certified;
   if (full) {
     // ---- fallback: full replan, warm-started from the surviving slots so
     // the coloring stays stable; repair + verification run from scratch and
@@ -600,6 +589,14 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
         prev_slot_count_.empty() ? nullptr : &warm, &conflict_index_);
     report.touched_slots = scheduled.schedule.length();
     report.valid = scheduled.verification.ok();
+    if (global) {
+      // Verification certified every slot; rewrite every entry from it.
+      auto lp = scheduled.power.log2_powers();
+      for (const auto s : scheduled.verification.infeasible_slots) {
+        for (const auto i : scheduled.schedule.slots[s]) lp[i] = kNoPower;
+      }
+      for (std::size_t i = 0; i < n; ++i) certified.emplace_back(i, lp[i]);
+    }
     final_schedule = std::move(scheduled.schedule);
   } else {
     // ---- localized path ----
@@ -643,8 +640,13 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     // oracle is deterministic, so the old certificate applies verbatim);
     // any class that shrank is re-checked — and repacked if the oracle now
     // rejects it — before serving as a kept sub-slot or a final slot.
+    // Global power joins under the power-control rule, which keeps each
+    // accepted Perron vector; fixed-power modes keep their is_feasible
+    // trials.
     stage.next(report.times.slot(Stage::kRepair));
-    const auto oracle = core::oracle_for_mode(links, config);
+    const auto rule =
+        global ? schedule::JoinRule::power_control(links, config.sinr)
+               : schedule::JoinRule(core::oracle_for_mode(links, config));
     std::vector<std::vector<std::size_t>> classes(
         static_cast<std::size_t>(recolored.num_colors));
     for (std::size_t i = 0; i < n; ++i) {
@@ -672,11 +674,15 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
         continue;
       }
       auto patch = schedule::patch_slot(links, {std::move(kept)}, loose,
-                                        oracle, kept_certified);
+                                        rule, kept_certified);
       report.oracle_calls += patch.oracle_calls;
       report.touched_slots += patch.sub_slots.size();
-      for (auto& sub : patch.sub_slots) {
-        final_schedule.slots.push_back(std::move(sub));
+      for (std::size_t s = 0; s < patch.sub_slots.size(); ++s) {
+        const auto& lp = patch.log2_powers[s];
+        for (std::size_t a = 0; a < lp.size(); ++a) {
+          certified.emplace_back(patch.sub_slots[s][a], lp[a]);
+        }
+        final_schedule.slots.push_back(std::move(patch.sub_slots[s]));
       }
     }
     report.valid = schedule::is_partition(final_schedule, n);
@@ -694,6 +700,12 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     for (const auto i : final_schedule.slots[s]) {
       slot_of_[static_cast<std::size_t>(links.id_of(i))] =
           static_cast<int>(s);
+    }
+  }
+  if (global) {
+    log2_power_of_.resize(store_.capacity(), kNoPower);
+    for (const auto& [i, p] : certified) {
+      log2_power_of_[static_cast<std::size_t>(links.id_of(i))] = p;
     }
   }
   plan_clock_ = store_.clock();
@@ -716,80 +728,19 @@ const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
   const double power_mark = report_.times[Stage::kPower];
   obs::StageSpan stage(report_.times.slot(Stage::kPower));
   const auto& links = current_.links;
-  const auto link_ids = links.ids();  // increasing (store snapshot order)
-  const auto dense_of = [&](geom::LinkId id) {
-    const auto it = std::lower_bound(link_ids.begin(), link_ids.end(), id);
-    return static_cast<std::size_t>(it - link_ids.begin());
-  };
-
   slot_powers_.clear();
   slot_powers_.reserve(current_.schedule.slots.size());
-  std::vector<std::uint64_t> used_keys;
-  std::vector<geom::LinkId> members;
   for (const auto& slot : current_.schedule.slots) {
-    members.clear();
-    for (const auto i : slot) members.push_back(links.id_of(i));
-    std::sort(members.begin(), members.end());
-    const auto key = membership_key(members);
-    used_keys.push_back(key);
-
-    auto it = power_cache_.find(key);
-    bool hit = it != power_cache_.end() && it->second.members == members;
-    if (hit) {
-      // Generations certify the members' geometry is untouched since the
-      // vector was computed; any change invalidates the entry.
-      for (const auto id : members) {
-        if (store_.generation(id) > it->second.clock_mark) {
-          hit = false;
-          break;
-        }
-      }
-    }
-    if (!hit) {
-      const auto pc =
-          sinr::power_control_feasible(links, slot, options_.config.sinr);
-      CachedSlotPower entry;
-      entry.members = members;
-      entry.clock_mark = store_.clock();
-      entry.feasible = pc.feasible;
-      if (pc.feasible) {
-        // Re-align from slot order to sorted-member order for storage.
-        std::vector<std::pair<geom::LinkId, double>> by_id;
-        by_id.reserve(slot.size());
-        for (std::size_t a = 0; a < slot.size(); ++a) {
-          by_id.emplace_back(links.id_of(slot[a]), pc.log2_power[a]);
-        }
-        std::sort(by_id.begin(), by_id.end());
-        entry.log2_power.reserve(by_id.size());
-        for (const auto& [id, p] : by_id) entry.log2_power.push_back(p);
-      }
-      it = power_cache_.insert_or_assign(key, std::move(entry)).first;
-      ++report_.power_slots_computed;
-      planner_metrics().power_misses.add();
-    } else {
-      ++report_.power_slots_cached;
-      planner_metrics().power_hits.add();
-    }
-
-    const auto& entry = it->second;
-    if (!entry.feasible) {
-      slot_powers_.emplace_back(std::vector<double>(links.size(), 0.0),
-                                "infeasible-slot");
-      continue;
-    }
     std::vector<double> dense(links.size(), 0.0);
-    for (std::size_t a = 0; a < entry.members.size(); ++a) {
-      dense[dense_of(entry.members[a])] = entry.log2_power[a];
+    for (const auto i : slot) {
+      dense[i] = log2_power_of_[static_cast<std::size_t>(links.id_of(i))];
     }
-    slot_powers_.emplace_back(std::move(dense), "power-control");
+    const bool certified = std::none_of(
+        slot.begin(), slot.end(), [&](auto i) { return std::isnan(dense[i]); });
+    if (!certified) std::fill(dense.begin(), dense.end(), 0.0);
+    slot_powers_.emplace_back(std::move(dense),
+                              certified ? "power-control" : "infeasible-slot");
   }
-
-  // Retain only the current schedule's entries so the cache tracks the
-  // session instead of its history.
-  std::sort(used_keys.begin(), used_keys.end());
-  std::erase_if(power_cache_, [&](const auto& kv) {
-    return !std::binary_search(used_keys.begin(), used_keys.end(), kv.first);
-  });
 
   slot_powers_current_ = true;
   stage.close();

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "conflict/conflict_index.h"
@@ -50,11 +49,6 @@ struct EpochReport {
   std::size_t touched_slots = 0;
   /// Feasibility-oracle invocations this epoch (the cost driver).
   std::size_t oracle_calls = 0;
-
-  /// slot_powers() bookkeeping: Perron vectors served from the
-  /// membership-keyed cache vs computed fresh this epoch.
-  std::size_t power_slots_cached = 0;
-  std::size_t power_slots_computed = 0;
 
   double rate = 0.0;
   /// Structural validity (schedule partitions the links). Feasibility of
@@ -125,8 +119,10 @@ struct EpochReport {
 ///   5. slots whose membership is unchanged carry over verbatim (their old
 ///      oracle certificate applies — no monotonicity assumption), slots
 ///      that shrank are re-checked with one oracle call each, and classes
-///      that gained members are patch-repaired (schedule::patch_slot);
-///      oracle calls stay proportional to the dirty set.
+///      that gained members are patch-repaired (schedule::patch_slot, under
+///      the power-control join rule for kGlobal, which keeps each accepted
+///      Perron vector as the slot's certificate); oracle calls stay
+///      proportional to the dirty set.
 /// When the dirty fraction exceeds DynamicOptions::full_replan_fraction the
 /// epoch falls back to core::schedule_links with a warm-start seed — full
 /// repair and verification re-anchor the carried-over validity chain. Bulk
@@ -210,12 +206,14 @@ class DynamicPlanner : private geom::LinkStoreListener {
 
   /// kGlobal only: the per-slot Perron power vectors of the current
   /// schedule (aligned with snapshot().schedule.slots), materialized on
-  /// demand. Vectors are cached across epochs keyed by the slot's stable-id
-  /// membership and validated against the store's generation counters, so
-  /// carried-over slots skip power_control_feasible entirely. The cost and
-  /// hit counts land in last_report()'s power stage /
-  /// power_slots_cached / power_slots_computed. Throws std::logic_error for
-  /// fixed-power modes (their assignment is sinr::*_power, not per-slot).
+  /// demand from the certificates the plan carries: a slot whose membership
+  /// changed this epoch has the vector of its last accepted check (the
+  /// exact power_control_feasible result on its final members), a carried
+  /// slot keeps its members' previous entries, and a slot verification
+  /// rejected (repair disabled) gets a zero "infeasible-slot" vector. No
+  /// slot is solved again. The copy lands in last_report()'s power stage.
+  /// Throws std::logic_error for fixed-power modes (their assignment is
+  /// sinr::*_power, not per-slot).
   [[nodiscard]] const std::vector<sinr::PowerAssignment>& slot_powers();
 
  private:
@@ -291,14 +289,11 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// replan must rebuild orientation from scratch.
   bool force_reconcile_ = true;
 
-  // ---- slot-power materialization cache (kGlobal) ----
-  struct CachedSlotPower {
-    std::vector<geom::LinkId> members;  ///< sorted stable ids
-    std::vector<double> log2_power;     ///< aligned with members
-    std::uint64_t clock_mark = 0;       ///< store clock at computation
-    bool feasible = false;
-  };
-  std::unordered_map<std::uint64_t, CachedSlotPower> power_cache_;
+  /// kGlobal: each live link's certified log2 power from its final slot's
+  /// Perron vector, indexed by stable LinkId; NaN when that slot has no
+  /// certificate (verification rejected it). Written only when a plan is
+  /// persisted, so a failed epoch leaves the previous plan's entries.
+  std::vector<double> log2_power_of_;
   std::vector<sinr::PowerAssignment> slot_powers_;
   bool slot_powers_current_ = false;
 

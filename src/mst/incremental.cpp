@@ -307,12 +307,17 @@ void IncrementalMst::attach(NodeId id) {
     throw std::logic_error(
         "IncrementalMst::attach: candidate grid returned no neighbors");
   }
-  // k <= 6 by construction (at most one candidate per cone). The min()
-  // restates that bound where the optimizer can see it: without it GCC 12's
-  // -Warray-bounds hallucinates an out-of-bounds insertion-sort subscript
-  // after inlining std::sort over the fixed-size array.
-  k = std::min(k, candidates.size());
-  std::sort(candidates.begin(), candidates.begin() + k);
+  // Insertion sort over the k <= 6 candidates (one per cone). (w2, a, b) is
+  // a total order, so this is the order std::sort gives; std::sort over the
+  // fixed-size array trips a false GCC 12 -Warray-bounds under ASan/UBSan.
+  for (std::size_t i = 1; i < k; ++i) {
+    const WeightedEdge moving = candidates[i];
+    std::size_t j = i;
+    for (; j > 0 && moving < candidates[j - 1]; --j) {
+      candidates[j] = candidates[j - 1];
+    }
+    candidates[j] = moving;
+  }
   for (std::size_t i = 0; i < k; ++i) {
     const WeightedEdge& cand = candidates[i];
     const NodeId q = cand.a == id ? cand.b : cand.a;

@@ -66,8 +66,7 @@ void execute_session_request(const PlanRequest& request,
   dynamic::DynamicPlanner planner(request.points, options);
 
   // Serving sessions ship the actual transmit powers every epoch; the
-  // planner's membership-keyed cache means carried-over slots cost a hash
-  // lookup instead of a Perron solve.
+  // planner reads them from its slot certificates, solving nothing again.
   const bool materialize_powers =
       request.config.power_mode == core::PowerMode::kGlobal;
   if (materialize_powers) (void)planner.slot_powers();

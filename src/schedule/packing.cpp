@@ -1,7 +1,5 @@
 #include "schedule/packing.h"
 
-#include "schedule/repair.h"
-
 namespace wagg::schedule {
 
 namespace {
@@ -18,23 +16,11 @@ Schedule everything_in_one_slot(const geom::LinkView& links) {
 
 }  // namespace
 
-Schedule ffd_schedule(const geom::LinkView& links,
-                      const FeasibilityOracle& oracle) {
+Schedule ffd_schedule(const geom::LinkView& links, const JoinRule& rule) {
   if (links.empty()) return Schedule{};
   // Repairing the one-slot schedule IS first-fit-decreasing: repair sorts
   // the slot by non-increasing length and first-fit packs it.
-  return repair_schedule(links, everything_in_one_slot(links), oracle)
-      .schedule;
-}
-
-Schedule ffd_schedule_fixed_power(const geom::LinkView& links,
-                                  const sinr::SinrParams& params,
-                                  const sinr::PowerAssignment& power,
-                                  double tolerance) {
-  if (links.empty()) return Schedule{};
-  return repair_schedule_fixed_power(links, everything_in_one_slot(links),
-                                     params, power, tolerance)
-      .schedule;
+  return repair_schedule(links, everything_in_one_slot(links), rule).schedule;
 }
 
 }  // namespace wagg::schedule

@@ -2,15 +2,13 @@
 #define WAGG_SCHEDULE_PACKING_H
 
 #include "geom/linkset.h"
+#include "schedule/repair.h"
 #include "schedule/schedule.h"
-#include "schedule/verify.h"
-#include "sinr/model.h"
-#include "sinr/power.h"
 
 namespace wagg::schedule {
 
 /// First-fit-decreasing schedule construction directly against a feasibility
-/// oracle, with no conflict graph at all: links are processed in
+/// rule, with no conflict graph at all: links are processed in
 /// non-increasing length order and each joins the first slot that stays
 /// feasible with it. This is the natural greedy baseline in the spirit of
 /// Kesselheim's capacity framework [16] — the paper's conflict-graph
@@ -19,12 +17,7 @@ namespace wagg::schedule {
 ///
 /// Throws std::runtime_error if some singleton is infeasible.
 [[nodiscard]] Schedule ffd_schedule(const geom::LinkView& links,
-                                    const FeasibilityOracle& oracle);
-
-/// Fixed-power FFD using the incremental packer (O(n * slots * slot size)).
-[[nodiscard]] Schedule ffd_schedule_fixed_power(
-    const geom::LinkView& links, const sinr::SinrParams& params,
-    const sinr::PowerAssignment& power, double tolerance = 1e-9);
+                                    const JoinRule& rule);
 
 }  // namespace wagg::schedule
 

@@ -3,10 +3,139 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "sinr/feasibility.h"
 
 namespace wagg::schedule {
+
+JoinRule::JoinRule(FeasibilityOracle oracle)
+    : kind_(Kind::kOracleTrial), oracle_(std::move(oracle)) {}
+
+JoinRule JoinRule::power_control(const geom::LinkView& links,
+                                 const sinr::SinrParams& params) {
+  JoinRule rule(Kind::kPowerControl);
+  rule.links_ = &links;
+  rule.params_ = params;
+  return rule;
+}
+
+JoinRule JoinRule::running_loads(const geom::LinkView& links,
+                                 const sinr::SinrParams& params,
+                                 sinr::PowerAssignment power,
+                                 double tolerance) {
+  params.validate();
+  JoinRule rule(Kind::kRunningLoads);
+  rule.links_ = &links;
+  rule.params_ = params;
+  rule.power_ = std::move(power);
+  rule.tolerance_ = tolerance;
+  rule.log2_len_.reserve(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    rule.log2_len_.push_back(std::log2(links.length(i)));
+  }
+  return rule;
+}
+
+bool JoinRule::certify(SlotLoad& slot) const {
+  switch (kind_) {
+    case Kind::kOracleTrial:
+      return oracle_(slot.members);
+    case Kind::kPowerControl: {
+      auto pc = sinr::power_control_feasible(*links_, slot.members, params_);
+      if (pc.feasible) slot.log2_power = std::move(pc.log2_power);
+      return pc.feasible;
+    }
+    case Kind::kRunningLoads:
+      // The exact check; loads a join left on these members stay valid.
+      return sinr::is_feasible(*links_, slot.members, params_, power_,
+                               tolerance_);
+  }
+  throw std::logic_error("JoinRule: unknown rule");
+}
+
+bool JoinRule::admit(SlotLoad& slot, std::size_t link) const {
+  if (kind_ == Kind::kRunningLoads) return admit_running(slot, link);
+  slot.members.push_back(link);
+  if (certify(slot)) return true;
+  slot.members.pop_back();
+  return false;
+}
+
+double JoinRule::load_term(std::size_t j, std::size_t i) const {
+  const double d = links_->sinr_distance(j, i);
+  if (d <= 0.0) return 1e30;
+  const double lg = std::log2(params_.beta) + power_.log2_power(j) -
+                    power_.log2_power(i) +
+                    params_.alpha * (log2_len_[i] - std::log2(d));
+  if (lg >= 100.0) return 1e30;
+  if (lg <= -1074.0) return 0.0;
+  return std::exp2(lg);
+}
+
+double JoinRule::noise_load(std::size_t i) const {
+  if (params_.noise <= 0.0) return 0.0;
+  const double lg = std::log2(params_.beta) + std::log2(params_.noise) +
+                    params_.alpha * log2_len_[i] - power_.log2_power(i);
+  return lg >= 100.0 ? 1e30 : std::exp2(lg);
+}
+
+bool JoinRule::admit_running(SlotLoad& slot, std::size_t x) const {
+  const double limit = 1.0 + tolerance_;
+  const double own = noise_load(x);
+  if (own > limit) return false;
+  const auto& members = slot.members;
+  if (slot.load.size() != members.size()) {
+    // Members that arrived without loads (a kept or failed slot).
+    slot.load.assign(members.size(), 0.0);
+    for (std::size_t a = 0; a < members.size(); ++a) {
+      slot.load[a] = noise_load(members[a]);
+      for (std::size_t b = 0; b < members.size(); ++b) {
+        if (b != a) slot.load[a] += load_term(members[b], members[a]);
+      }
+    }
+  }
+  std::vector<double> incoming;
+  incoming.reserve(members.size());
+  double new_load = own;
+  for (std::size_t a = 0; a < members.size(); ++a) {
+    const std::size_t i = members[a];
+    if (links_->shares_node(x, i)) return false;
+    const double inc = load_term(x, i);
+    if (slot.load[a] + inc > limit) return false;
+    new_load += load_term(i, x);
+    if (new_load > limit) return false;
+    incoming.push_back(inc);
+  }
+  for (std::size_t a = 0; a < incoming.size(); ++a) slot.load[a] += incoming[a];
+  slot.members.push_back(x);
+  slot.load.push_back(new_load);
+  return true;
+}
+
+FirstFitCounts first_fit(std::vector<SlotLoad>& slots,
+                         std::span<const std::size_t> order,
+                         const JoinRule& rule) {
+  FirstFitCounts counts;
+  for (const std::size_t link : order) {
+    bool placed = false;
+    for (auto& slot : slots) {
+      ++counts.checks;
+      if (rule.admit(slot, link)) {
+        placed = true;
+        break;
+      }
+    }
+    if (placed) continue;
+    ++counts.checks;
+    auto& fresh = slots.emplace_back();
+    if (!rule.admit(fresh, link)) {
+      fresh.members.push_back(link);
+      ++counts.failed_singletons;
+    }
+  }
+  return counts;
+}
 
 std::vector<std::size_t> pack_order(const geom::LinkView& links,
                                     std::span<const std::size_t> members) {
@@ -21,45 +150,35 @@ std::vector<std::size_t> pack_order(const geom::LinkView& links,
   return ordered;
 }
 
+namespace {
+
+void throw_infeasible_singleton(const char* where) {
+  throw std::runtime_error(
+      std::string(where) +
+      ": singleton slot infeasible; instance is not interference-limited "
+      "under this rule");
+}
+
+}  // namespace
+
 RepairResult repair_schedule(const geom::LinkView& links,
-                             const Schedule& schedule,
-                             const FeasibilityOracle& oracle) {
+                             const Schedule& schedule, const JoinRule& rule) {
   RepairResult result;
   result.length_before = schedule.length();
+  std::vector<SlotLoad> sub_slots;
   for (const auto& slot : schedule.slots) {
-    if (oracle(slot)) {
-      result.schedule.slots.push_back(slot);
+    SlotLoad whole{.members = slot};
+    if (rule.certify(whole)) {
+      result.schedule.slots.push_back(std::move(whole.members));
       continue;
     }
     ++result.slots_split;
-    // Re-pack first-fit in non-increasing length order (longest links are
-    // the hardest to place; packing them first keeps sub-slot counts low).
-    const auto ordered = pack_order(links, slot);
-    std::vector<std::vector<std::size_t>> sub_slots;
-    std::vector<std::size_t> trial;
-    for (std::size_t link : ordered) {
-      bool placed = false;
-      for (auto& sub : sub_slots) {
-        trial = sub;
-        trial.push_back(link);
-        if (oracle(trial)) {
-          sub.push_back(link);
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        trial = {link};
-        if (!oracle(trial)) {
-          throw std::runtime_error(
-              "repair_schedule: singleton slot infeasible; instance is not "
-              "interference-limited under this oracle");
-        }
-        sub_slots.push_back(std::move(trial));
-      }
+    sub_slots.clear();
+    if (first_fit(sub_slots, pack_order(links, slot), rule).failed_singletons) {
+      throw_infeasible_singleton("repair_schedule");
     }
     for (auto& sub : sub_slots) {
-      result.schedule.slots.push_back(std::move(sub));
+      result.schedule.slots.push_back(std::move(sub.members));
     }
   }
   result.length_after = result.schedule.length();
@@ -69,198 +188,61 @@ RepairResult repair_schedule(const geom::LinkView& links,
 PatchResult patch_slot(const geom::LinkView& links,
                        std::vector<std::vector<std::size_t>> kept,
                        std::span<const std::size_t> loose,
-                       const FeasibilityOracle& oracle,
-                       bool kept_certified) {
-  PatchResult result;
-  result.sub_slots = std::move(kept);
+                       const JoinRule& rule, bool kept_certified) {
   // Drop sub-slots emptied by deletions.
-  std::erase_if(result.sub_slots,
+  std::erase_if(kept,
                 [](const std::vector<std::size_t>& sub) { return sub.empty(); });
-  if (!kept_certified && result.sub_slots.size() > 1) {
+  if (!kept_certified && kept.size() > 1) {
     throw std::invalid_argument(
         "patch_slot: uncertified kept must be a single sub-slot");
   }
+  PatchResult result;
+  std::vector<SlotLoad> slots;
+  slots.reserve(kept.size());
+  for (auto& sub : kept) slots.push_back({.members = std::move(sub)});
 
   // Longest-first, matching repair_schedule's packing order.
   std::vector<std::size_t> ordered = pack_order(links, loose);
 
-  std::vector<std::size_t> trial;
   // Optimistic fast path: at low churn the whole class usually still fits
-  // in one slot, so one oracle call on (kept + loose) replaces |loose|
+  // in one slot, so one check on (kept + loose) replaces |loose|
   // incremental checks — and certifies the merged membership outright,
   // uncertified kept included. Costs a single extra call when it misses.
-  if (result.sub_slots.size() <= 1 &&
+  bool merged = false;
+  if (slots.size() <= 1 &&
       (ordered.size() > 1 || (!kept_certified && !ordered.empty()))) {
-    trial = result.sub_slots.empty() ? std::vector<std::size_t>{}
-                                     : result.sub_slots.front();
-    trial.insert(trial.end(), ordered.begin(), ordered.end());
+    SlotLoad whole = slots.empty() ? SlotLoad{} : slots.front();
+    whole.members.insert(whole.members.end(), ordered.begin(), ordered.end());
     ++result.oracle_calls;
-    if (oracle(trial)) {
-      if (result.sub_slots.empty()) {
-        ++result.slots_opened;
-        result.sub_slots.push_back(std::move(trial));
-      } else {
-        result.sub_slots.front() = std::move(trial);
-      }
-      return result;
+    merged = rule.certify(whole);
+    if (merged) {
+      if (slots.empty()) ++result.slots_opened;
+      slots.assign(1, std::move(whole));
+      ordered.clear();
     }
   }
 
   // Before any insertion trusts an uncertified kept sub-slot, re-check it
   // once; a rejected kept (the oracle's bound is conservative, not
   // monotone) is demoted into the loose set and repacked.
-  if (!kept_certified && !result.sub_slots.empty()) {
+  if (!merged && !kept_certified && !slots.empty()) {
     ++result.oracle_calls;
-    if (!oracle(result.sub_slots.front())) {
-      ordered.insert(ordered.end(), result.sub_slots.front().begin(),
-                     result.sub_slots.front().end());
-      result.sub_slots.clear();
+    if (!rule.certify(slots.front())) {
+      ordered.insert(ordered.end(), slots.front().members.begin(),
+                     slots.front().members.end());
+      slots.clear();
       ordered = pack_order(links, ordered);
     }
   }
-  for (const std::size_t link : ordered) {
-    bool placed = false;
-    for (auto& sub : result.sub_slots) {
-      trial = sub;
-      trial.push_back(link);
-      ++result.oracle_calls;
-      if (oracle(trial)) {
-        sub.push_back(link);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      trial = {link};
-      ++result.oracle_calls;
-      if (!oracle(trial)) {
-        throw std::runtime_error(
-            "patch_slot: singleton slot infeasible; instance is not "
-            "interference-limited under this oracle");
-      }
-      result.sub_slots.push_back(std::move(trial));
-      ++result.slots_opened;
-    }
+  const std::size_t before = slots.size();
+  const auto counts = first_fit(slots, ordered, rule);
+  if (counts.failed_singletons) throw_infeasible_singleton("patch_slot");
+  result.oracle_calls += counts.checks;
+  result.slots_opened += slots.size() - before;
+  for (auto& slot : slots) {
+    result.sub_slots.push_back(std::move(slot.members));
+    result.log2_powers.push_back(std::move(slot.log2_power));
   }
-  return result;
-}
-
-namespace {
-
-/// Incremental first-fit packer for a fixed power assignment: keeps the
-/// running SINR load of every placed link so that each placement attempt
-/// costs O(|sub-slot|).
-class FixedPowerPacker {
- public:
-  FixedPowerPacker(const geom::LinkView& links, const sinr::SinrParams& params,
-                   const sinr::PowerAssignment& power, double tolerance)
-      : links_(links), params_(params), power_(power), tolerance_(tolerance) {
-    log2_len_.reserve(links.size());
-    for (std::size_t i = 0; i < links.size(); ++i) {
-      log2_len_.push_back(std::log2(links.length(i)));
-    }
-  }
-
-  /// beta * I_P(j, i), saturating instead of overflowing.
-  [[nodiscard]] double load_term(std::size_t j, std::size_t i) const {
-    const double d = links_.sinr_distance(j, i);
-    if (d <= 0.0) return 1e30;
-    const double lg = std::log2(params_.beta) + power_.log2_power(j) -
-                      power_.log2_power(i) +
-                      params_.alpha * (log2_len_[i] - std::log2(d));
-    if (lg >= 100.0) return 1e30;
-    if (lg <= -1074.0) return 0.0;
-    return std::exp2(lg);
-  }
-
-  /// beta * noise * l_i^alpha / P_i.
-  [[nodiscard]] double noise_load(std::size_t i) const {
-    if (params_.noise <= 0.0) return 0.0;
-    const double lg = std::log2(params_.beta) + std::log2(params_.noise) +
-                      params_.alpha * log2_len_[i] - power_.log2_power(i);
-    return lg >= 100.0 ? 1e30 : std::exp2(lg);
-  }
-
-  /// Greedily packs `ordered` into feasible sub-slots.
-  /// Throws std::runtime_error if a singleton is infeasible.
-  [[nodiscard]] std::vector<std::vector<std::size_t>> pack(
-      std::span<const std::size_t> ordered) const {
-    std::vector<std::vector<std::size_t>> slots;
-    std::vector<std::vector<double>> loads;  // per slot, aligned with members
-    std::vector<double> incoming;
-    for (const std::size_t x : ordered) {
-      const double own = noise_load(x);
-      if (own > 1.0 + tolerance_) {
-        throw std::runtime_error(
-            "repair_schedule_fixed_power: singleton slot infeasible; "
-            "instance is not interference-limited under this power");
-      }
-      bool placed = false;
-      for (std::size_t s = 0; s < slots.size() && !placed; ++s) {
-        auto& members = slots[s];
-        auto& member_loads = loads[s];
-        incoming.assign(1, own);
-        bool ok = true;
-        double new_load = own;
-        for (std::size_t a = 0; a < members.size() && ok; ++a) {
-          const std::size_t i = members[a];
-          if (links_.shares_node(x, i)) {
-            ok = false;
-            break;
-          }
-          const double inc = load_term(x, i);
-          if (member_loads[a] + inc > 1.0 + tolerance_) ok = false;
-          new_load += load_term(i, x);
-          if (new_load > 1.0 + tolerance_) ok = false;
-          incoming.push_back(inc);
-        }
-        if (!ok) continue;
-        for (std::size_t a = 0; a < members.size(); ++a) {
-          member_loads[a] += incoming[a + 1];
-        }
-        members.push_back(x);
-        member_loads.push_back(new_load);
-        placed = true;
-      }
-      if (!placed) {
-        slots.push_back({x});
-        loads.push_back({own});
-      }
-    }
-    return slots;
-  }
-
- private:
-  const geom::LinkView& links_;
-  sinr::SinrParams params_;
-  const sinr::PowerAssignment& power_;
-  double tolerance_;
-  std::vector<double> log2_len_;
-};
-
-}  // namespace
-
-RepairResult repair_schedule_fixed_power(const geom::LinkView& links,
-                                         const Schedule& schedule,
-                                         const sinr::SinrParams& params,
-                                         const sinr::PowerAssignment& power,
-                                         double tolerance) {
-  params.validate();
-  RepairResult result;
-  result.length_before = schedule.length();
-  const FixedPowerPacker packer(links, params, power, tolerance);
-  for (const auto& slot : schedule.slots) {
-    if (sinr::is_feasible(links, slot, params, power, tolerance)) {
-      result.schedule.slots.push_back(slot);
-      continue;
-    }
-    ++result.slots_split;
-    const auto ordered = pack_order(links, slot);
-    for (auto& sub : packer.pack(ordered)) {
-      result.schedule.slots.push_back(std::move(sub));
-    }
-  }
-  result.length_after = result.schedule.length();
   return result;
 }
 

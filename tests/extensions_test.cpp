@@ -35,7 +35,8 @@ TEST(Packing, FfdProducesVerifiedPartition) {
   const auto tree = mst::mst_tree(pts, 0);
   const auto prm = params(3.0, 2.0);
   const auto power = sinr::uniform_power(tree.links, prm);
-  const auto s = schedule::ffd_schedule_fixed_power(tree.links, prm, power);
+  const auto s = schedule::ffd_schedule(
+      tree.links, schedule::JoinRule::running_loads(tree.links, prm, power));
   EXPECT_TRUE(schedule::is_partition(s, tree.links.size()));
   const auto oracle = schedule::fixed_power_oracle(tree.links, prm, power);
   EXPECT_TRUE(schedule::verify_schedule(tree.links, s, oracle).ok());
@@ -48,7 +49,8 @@ TEST(Packing, FfdGenericMatchesFixedPowerLengths) {
   const auto power = sinr::uniform_power(tree.links, prm);
   const auto oracle = schedule::fixed_power_oracle(tree.links, prm, power);
   const auto generic = schedule::ffd_schedule(tree.links, oracle);
-  const auto fast = schedule::ffd_schedule_fixed_power(tree.links, prm, power);
+  const auto fast = schedule::ffd_schedule(
+      tree.links, schedule::JoinRule::running_loads(tree.links, prm, power));
   EXPECT_EQ(generic.length(), fast.length());
   EXPECT_EQ(generic.slots, fast.slots);
 }
@@ -59,8 +61,9 @@ TEST(Packing, FfdWithPowerControlBeatsUniform) {
   const auto pts = instance::exponential_chain(32, 2.0);
   const auto tree = mst::mst_tree(pts, 0);
   const auto prm = params(3.0, 1.0);
-  const auto uni = schedule::ffd_schedule_fixed_power(
-      tree.links, prm, sinr::uniform_power(tree.links, prm));
+  const auto uni = schedule::ffd_schedule(
+      tree.links, schedule::JoinRule::running_loads(
+                      tree.links, prm, sinr::uniform_power(tree.links, prm)));
   const auto pc = schedule::ffd_schedule(
       tree.links, schedule::power_control_oracle(tree.links, prm));
   EXPECT_LT(pc.length() * 2, uni.length());
@@ -71,10 +74,10 @@ TEST(Packing, EmptyLinkSet) {
   geom::Pointset pts{{0, 0}, {1, 0}};
   const geom::LinkSet empty(pts, {});
   const auto prm = params();
-  EXPECT_TRUE(
-      schedule::ffd_schedule_fixed_power(empty, prm,
-                                         sinr::uniform_power(empty, prm))
-          .empty());
+  EXPECT_TRUE(schedule::ffd_schedule(
+                  empty, schedule::JoinRule::running_loads(
+                             empty, prm, sinr::uniform_power(empty, prm)))
+                  .empty());
 }
 
 // --- latency-aware ordering --------------------------------------------------

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -202,10 +204,10 @@ TEST(DynamicPlanner, ViewDeterminismSameHistorySamePlan) {
   EXPECT_DOUBLE_EQ(a.rate, b.rate);
 }
 
-TEST(DynamicPlanner, SlotPowersAreValidAndCacheCarriedSlots) {
+TEST(DynamicPlanner, SlotPowersCertifySlotsAndCarryUnchangedOnes) {
   const auto points = workload::make_family("uniform", 96, 7);
   dynamic::ChurnParams params;
-  params.epochs = 4;
+  params.epochs = 6;
   params.rate = 0.02;
   const auto trace = dynamic::make_churn_trace(points, params, 21);
 
@@ -213,39 +215,93 @@ TEST(DynamicPlanner, SlotPowersAreValidAndCacheCarriedSlots) {
   options.config = workload::mode_config(core::PowerMode::kGlobal);
   dynamic::DynamicPlanner planner(points, options);
 
-  const auto verify_powers = [&]() {
+  // Each slot's entries keyed by its stable-id membership, as of the last
+  // check, plus the store clock of that plan.
+  using Members = std::vector<geom::LinkId>;
+  std::map<Members, std::map<geom::LinkId, double>> previous;
+  std::uint64_t previous_clock = 0;
+  std::size_t carried = 0;
+  std::size_t fresh = 0;
+  const auto check_powers = [&]() {
     const auto& powers = planner.slot_powers();
     const auto& snapshot = planner.snapshot();
+    const auto& store = planner.link_store();
+    const bool full = planner.last_report().full_replan;
     ASSERT_EQ(powers.size(), snapshot.schedule.slots.size());
+    std::map<Members, std::map<geom::LinkId, double>> current;
     for (std::size_t s = 0; s < powers.size(); ++s) {
+      const auto& slot = snapshot.schedule.slots[s];
       // Each Perron vector must satisfy the exact SINR inequalities on its
       // slot — the certificate a radio deployment would ship.
-      EXPECT_TRUE(sinr::is_feasible(snapshot.links,
-                                    snapshot.schedule.slots[s],
-                                    options.config.sinr, powers[s], 1e-6))
+      EXPECT_TRUE(sinr::is_feasible(snapshot.links, slot, options.config.sinr,
+                                    powers[s], 1e-6))
           << "slot " << s;
+      Members members;
+      for (const auto i : slot) members.push_back(snapshot.links.id_of(i));
+      std::sort(members.begin(), members.end());
+      auto& entries = current[members];
+      for (const auto i : slot) {
+        entries[snapshot.links.id_of(i)] = powers[s].log2_power(i);
+      }
+      const auto before = previous.find(members);
+      const bool unchanged =
+          !full && before != previous.end() &&
+          std::all_of(members.begin(), members.end(), [&](geom::LinkId id) {
+            return store.generation(id) <= previous_clock;
+          });
+      if (unchanged) {
+        // Membership and geometry unchanged: the previous entries, bit for
+        // bit.
+        EXPECT_EQ(entries, before->second) << "slot " << s;
+        ++carried;
+        continue;
+      }
+      // Anything else carries the vector of the check that accepted exactly
+      // this slot: bit-identical to solving it now.
+      const auto pc = sinr::power_control_feasible(snapshot.links, slot,
+                                                   options.config.sinr);
+      ASSERT_TRUE(pc.feasible) << "slot " << s;
+      for (std::size_t a = 0; a < slot.size(); ++a) {
+        EXPECT_EQ(powers[s].log2_power(slot[a]), pc.log2_power[a])
+            << "slot " << s;
+      }
+      ++fresh;
     }
+    previous = std::move(current);
+    previous_clock = store.clock();
   };
-  verify_powers();
-  EXPECT_GT(planner.last_report().power_slots_computed, 0u);
 
-  std::size_t cached_total = 0;
+  check_powers();
   for (const auto& epoch : trace) {
     (void)planner.apply(epoch);
-    verify_powers();
-    const auto& report = planner.last_report();
-    cached_total += report.power_slots_cached;
-    EXPECT_EQ(report.power_slots_cached + report.power_slots_computed,
-              report.slots);
+    check_powers();
   }
-  // Low churn carries most slots over; the membership cache must serve
-  // them without fresh Perron solves.
-  EXPECT_GT(cached_total, 0u);
+  // Low churn carries most slots over untouched.
+  EXPECT_GT(carried, 0u);
+  EXPECT_GT(fresh, 0u);
 
-  // Repeated materialization within an epoch is free (memoized).
-  const auto before = planner.last_report().power_slots_computed;
-  (void)planner.slot_powers();
-  EXPECT_EQ(planner.last_report().power_slots_computed, before);
+  // A second call in the same epoch recomputes nothing: same vectors, no
+  // power-stage time.
+  const auto* first = &planner.slot_powers();
+  const double power_ms = planner.last_report().times[core::Stage::kPower];
+  EXPECT_EQ(&planner.slot_powers(), first);
+  EXPECT_EQ(planner.last_report().times[core::Stage::kPower], power_ms);
+
+  // A rejected mutation leaves the plan, and its certificates, on the
+  // previous epoch; the full replan that recovers rewrites every entry.
+  const auto& snapshot = planner.snapshot();
+  const std::size_t k = snapshot.ids[1] == planner.sink() ? 2 : 1;
+  const dynamic::Mutation move{
+      dynamic::Mutation::Kind::kMove, snapshot.ids[k],
+      {snapshot.points[k].x + 0.25, snapshot.points[k].y}};
+  const dynamic::Mutation remove_sink{dynamic::Mutation::Kind::kRemove,
+                                      planner.sink(), {}};
+  EXPECT_THROW((void)planner.apply(std::vector{move, remove_sink}),
+               std::invalid_argument);
+  check_powers();
+  (void)planner.apply(std::vector<dynamic::Mutation>{});
+  EXPECT_TRUE(planner.last_report().full_replan);
+  check_powers();
 }
 
 TEST(DynamicPlanner, SlotPowersRejectFixedPowerModes) {

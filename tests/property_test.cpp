@@ -303,8 +303,9 @@ TEST(PipelineInvariants, RepairIdempotent) {
   ASSERT_TRUE(plan.verified());
   // Repairing an already-repaired schedule is a no-op.
   const auto power = core::power_for_mode(plan.tree.links, cfg);
-  const auto again = schedule::repair_schedule_fixed_power(
-      plan.tree.links, plan.schedule(), cfg.sinr, power);
+  const auto again = schedule::repair_schedule(
+      plan.tree.links, plan.schedule(),
+      schedule::JoinRule::running_loads(plan.tree.links, cfg.sinr, power));
   EXPECT_EQ(again.slots_split, 0u);
   EXPECT_EQ(again.schedule.slots, plan.schedule().slots);
 }

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/baseline.h"
+#include "core/planner.h"
 #include "geom/linkset.h"
 #include "instance/basic.h"
 #include "instance/special.h"
@@ -7,7 +14,9 @@
 #include "schedule/repair.h"
 #include "schedule/schedule.h"
 #include "schedule/verify.h"
+#include "sinr/feasibility.h"
 #include "sinr/power.h"
+#include "workload/workload.h"
 
 namespace wagg::schedule {
 namespace {
@@ -178,8 +187,9 @@ TEST(Repair, EmptySlotSurvivesUnchanged) {
   EXPECT_EQ(repaired.slots_split, 0u);
   EXPECT_EQ(repaired.schedule.slots, with_empty.slots);
 
-  const auto fixed = repair_schedule_fixed_power(
-      links, with_empty, prm, sinr::uniform_power(links, prm));
+  const auto fixed = repair_schedule(
+      links, with_empty,
+      JoinRule::running_loads(links, prm, sinr::uniform_power(links, prm)));
   EXPECT_EQ(fixed.slots_split, 0u);
   EXPECT_EQ(fixed.schedule.slots, with_empty.slots);
 }
@@ -197,8 +207,8 @@ TEST(Repair, SingleLinkSlotsAreFixedPoints) {
   EXPECT_EQ(repaired.slots_split, 0u);
   EXPECT_EQ(repaired.length_after, links.size());
   EXPECT_EQ(repaired.schedule.slots, singletons.slots);
-  const auto fixed =
-      repair_schedule_fixed_power(links, singletons, prm, power);
+  const auto fixed = repair_schedule(
+      links, singletons, JoinRule::running_loads(links, prm, power));
   EXPECT_EQ(fixed.schedule.slots, singletons.slots);
 }
 
@@ -229,8 +239,9 @@ TEST(Repair, AllPairwiseInfeasibleSlotExplodesIntoSingletons) {
   }
   EXPECT_TRUE(verify_schedule(links, repaired.schedule, oracle).ok());
 
-  // The fixed-power fast path agrees.
-  const auto fixed = repair_schedule_fixed_power(links, hopeless, prm, power);
+  // The running-loads rule agrees.
+  const auto fixed = repair_schedule(
+      links, hopeless, JoinRule::running_loads(links, prm, power));
   EXPECT_EQ(fixed.length_after, 3u);
 }
 
@@ -322,6 +333,453 @@ TEST(FiveCycle, AdjacentPairsAreInfeasible) {
     const std::vector<std::size_t> pair{i, (i + 1) % 5};
     EXPECT_FALSE(sinr::is_feasible(inst.links, pair, prm, power))
         << "pair " << i;
+  }
+}
+
+// --- the one first-fit packer ------------------------------------------------
+
+/// The first-fit packers the JoinRule packer replaced, kept verbatim (as
+/// sinr_test keeps the scalar kernel) so the one loop can be held to their
+/// exact output: repair_schedule and patch_slot over a bool oracle, and
+/// FixedPowerPacker behind repair_schedule_fixed_power.
+namespace reference {
+
+RepairResult repair_schedule(const geom::LinkView& links,
+                             const Schedule& schedule,
+                             const FeasibilityOracle& oracle) {
+  RepairResult result;
+  result.length_before = schedule.length();
+  for (const auto& slot : schedule.slots) {
+    if (oracle(slot)) {
+      result.schedule.slots.push_back(slot);
+      continue;
+    }
+    ++result.slots_split;
+    const auto ordered = pack_order(links, slot);
+    std::vector<std::vector<std::size_t>> sub_slots;
+    std::vector<std::size_t> trial;
+    for (std::size_t link : ordered) {
+      bool placed = false;
+      for (auto& sub : sub_slots) {
+        trial = sub;
+        trial.push_back(link);
+        if (oracle(trial)) {
+          sub.push_back(link);
+          placed = true;
+          break;
+        }
+      }
+      if (!placed) {
+        trial = {link};
+        if (!oracle(trial)) {
+          throw std::runtime_error("reference: singleton slot infeasible");
+        }
+        sub_slots.push_back(std::move(trial));
+      }
+    }
+    for (auto& sub : sub_slots) {
+      result.schedule.slots.push_back(std::move(sub));
+    }
+  }
+  result.length_after = result.schedule.length();
+  return result;
+}
+
+PatchResult patch_slot(const geom::LinkView& links,
+                       std::vector<std::vector<std::size_t>> kept,
+                       std::span<const std::size_t> loose,
+                       const FeasibilityOracle& oracle,
+                       bool kept_certified = true) {
+  PatchResult result;
+  result.sub_slots = std::move(kept);
+  std::erase_if(result.sub_slots,
+                [](const std::vector<std::size_t>& sub) { return sub.empty(); });
+  if (!kept_certified && result.sub_slots.size() > 1) {
+    throw std::invalid_argument("reference: uncertified kept");
+  }
+  std::vector<std::size_t> ordered = pack_order(links, loose);
+  std::vector<std::size_t> trial;
+  if (result.sub_slots.size() <= 1 &&
+      (ordered.size() > 1 || (!kept_certified && !ordered.empty()))) {
+    trial = result.sub_slots.empty() ? std::vector<std::size_t>{}
+                                     : result.sub_slots.front();
+    trial.insert(trial.end(), ordered.begin(), ordered.end());
+    ++result.oracle_calls;
+    if (oracle(trial)) {
+      if (result.sub_slots.empty()) {
+        ++result.slots_opened;
+        result.sub_slots.push_back(std::move(trial));
+      } else {
+        result.sub_slots.front() = std::move(trial);
+      }
+      return result;
+    }
+  }
+  if (!kept_certified && !result.sub_slots.empty()) {
+    ++result.oracle_calls;
+    if (!oracle(result.sub_slots.front())) {
+      ordered.insert(ordered.end(), result.sub_slots.front().begin(),
+                     result.sub_slots.front().end());
+      result.sub_slots.clear();
+      ordered = pack_order(links, ordered);
+    }
+  }
+  for (const std::size_t link : ordered) {
+    bool placed = false;
+    for (auto& sub : result.sub_slots) {
+      trial = sub;
+      trial.push_back(link);
+      ++result.oracle_calls;
+      if (oracle(trial)) {
+        sub.push_back(link);
+        placed = true;
+        break;
+      }
+    }
+    if (!placed) {
+      trial = {link};
+      ++result.oracle_calls;
+      if (!oracle(trial)) {
+        throw std::runtime_error("reference: singleton slot infeasible");
+      }
+      result.sub_slots.push_back(std::move(trial));
+      ++result.slots_opened;
+    }
+  }
+  return result;
+}
+
+class FixedPowerPacker {
+ public:
+  FixedPowerPacker(const geom::LinkView& links, const sinr::SinrParams& params,
+                   const sinr::PowerAssignment& power, double tolerance)
+      : links_(links), params_(params), power_(power), tolerance_(tolerance) {
+    log2_len_.reserve(links.size());
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      log2_len_.push_back(std::log2(links.length(i)));
+    }
+  }
+
+  [[nodiscard]] double load_term(std::size_t j, std::size_t i) const {
+    const double d = links_.sinr_distance(j, i);
+    if (d <= 0.0) return 1e30;
+    const double lg = std::log2(params_.beta) + power_.log2_power(j) -
+                      power_.log2_power(i) +
+                      params_.alpha * (log2_len_[i] - std::log2(d));
+    if (lg >= 100.0) return 1e30;
+    if (lg <= -1074.0) return 0.0;
+    return std::exp2(lg);
+  }
+
+  [[nodiscard]] double noise_load(std::size_t i) const {
+    if (params_.noise <= 0.0) return 0.0;
+    const double lg = std::log2(params_.beta) + std::log2(params_.noise) +
+                      params_.alpha * log2_len_[i] - power_.log2_power(i);
+    return lg >= 100.0 ? 1e30 : std::exp2(lg);
+  }
+
+  [[nodiscard]] std::vector<std::vector<std::size_t>> pack(
+      std::span<const std::size_t> ordered) const {
+    std::vector<std::vector<std::size_t>> slots;
+    std::vector<std::vector<double>> loads;
+    std::vector<double> incoming;
+    for (const std::size_t x : ordered) {
+      const double own = noise_load(x);
+      if (own > 1.0 + tolerance_) {
+        throw std::runtime_error("reference: singleton slot infeasible");
+      }
+      bool placed = false;
+      for (std::size_t s = 0; s < slots.size() && !placed; ++s) {
+        auto& members = slots[s];
+        auto& member_loads = loads[s];
+        incoming.assign(1, own);
+        bool ok = true;
+        double new_load = own;
+        for (std::size_t a = 0; a < members.size() && ok; ++a) {
+          const std::size_t i = members[a];
+          if (links_.shares_node(x, i)) {
+            ok = false;
+            break;
+          }
+          const double inc = load_term(x, i);
+          if (member_loads[a] + inc > 1.0 + tolerance_) ok = false;
+          new_load += load_term(i, x);
+          if (new_load > 1.0 + tolerance_) ok = false;
+          incoming.push_back(inc);
+        }
+        if (!ok) continue;
+        for (std::size_t a = 0; a < members.size(); ++a) {
+          member_loads[a] += incoming[a + 1];
+        }
+        members.push_back(x);
+        member_loads.push_back(new_load);
+        placed = true;
+      }
+      if (!placed) {
+        slots.push_back({x});
+        loads.push_back({own});
+      }
+    }
+    return slots;
+  }
+
+ private:
+  const geom::LinkView& links_;
+  sinr::SinrParams params_;
+  const sinr::PowerAssignment& power_;
+  double tolerance_;
+  std::vector<double> log2_len_;
+};
+
+RepairResult repair_schedule_fixed_power(const geom::LinkView& links,
+                                         const Schedule& schedule,
+                                         const sinr::SinrParams& params,
+                                         const sinr::PowerAssignment& power,
+                                         double tolerance = 1e-9) {
+  params.validate();
+  RepairResult result;
+  result.length_before = schedule.length();
+  const FixedPowerPacker packer(links, params, power, tolerance);
+  for (const auto& slot : schedule.slots) {
+    if (sinr::is_feasible(links, slot, params, power, tolerance)) {
+      result.schedule.slots.push_back(slot);
+      continue;
+    }
+    ++result.slots_split;
+    const auto ordered = pack_order(links, slot);
+    for (auto& sub : packer.pack(ordered)) {
+      result.schedule.slots.push_back(std::move(sub));
+    }
+  }
+  result.length_after = result.schedule.length();
+  return result;
+}
+
+}  // namespace reference
+
+void expect_same_repair(const RepairResult& got, const RepairResult& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.schedule.slots, want.schedule.slots) << where;
+  EXPECT_EQ(got.slots_split, want.slots_split) << where;
+  EXPECT_EQ(got.length_before, want.length_before) << where;
+  EXPECT_EQ(got.length_after, want.length_after) << where;
+}
+
+struct PatchInput {
+  std::vector<std::vector<std::size_t>> kept;
+  std::vector<std::size_t> loose;
+  bool kept_certified = true;
+};
+
+/// Patch cases cut from a repaired schedule (feasible slots) and the
+/// colouring it came from: certified kept plus loose links, several kept
+/// sub-slots, an emptied kept sub-slot, a kept half whose other half comes
+/// back loose (the fast path's home case), and uncertified kept sets that
+/// are feasible (a shrunk slot) or not (a class repair had to split).
+std::vector<PatchInput> patch_inputs(const Schedule& colouring,
+                                     const Schedule& repaired,
+                                     const FeasibilityOracle& oracle) {
+  std::vector<PatchInput> inputs;
+  const auto& slots = repaired.slots;
+  for (std::size_t s = 0; s + 2 < slots.size(); ++s) {
+    const auto& slot = slots[s];
+    const auto& next = slots[s + 1];
+    inputs.push_back({{slot}, next, true});
+    inputs.push_back({{slot}, {next.front()}, true});
+    inputs.push_back({{slot, next}, slots[s + 2], true});
+    inputs.push_back({{{}, slot, {}}, next, true});
+    inputs.push_back({{}, next, true});
+    if (slot.size() >= 3) {
+      const auto half = static_cast<std::ptrdiff_t>(slot.size() / 2);
+      inputs.push_back({{{slot.begin(), slot.begin() + half}},
+                        {slot.begin() + half, slot.end()},
+                        true});
+    }
+    if (slot.size() >= 2) {
+      const std::vector<std::size_t> shrunk(slot.begin(), slot.end() - 1);
+      inputs.push_back({{shrunk}, {}, false});
+      inputs.push_back({{shrunk}, next, false});
+    }
+  }
+  for (const auto& cls : colouring.slots) {
+    if (cls.size() < 2 || oracle(cls)) continue;
+    inputs.push_back({{cls}, {}, false});
+    inputs.push_back({{{cls.begin() + 1, cls.end()}}, {cls.front()}, false});
+  }
+  return inputs;
+}
+
+TEST(OnePacker, ReproducesTheLoopsItReplaced) {
+  struct Case {
+    const char* family;
+    std::size_t n;
+    core::PowerMode mode;
+    double noise;
+  };
+  const Case cases[] = {
+      {"uniform", 512, core::PowerMode::kGlobal, 0.0},
+      {"cluster", 256, core::PowerMode::kGlobal, 0.0},
+      {"uniform", 256, core::PowerMode::kUniform, 0.0},
+      {"annulus", 128, core::PowerMode::kLinear, 0.0},
+      {"cluster", 512, core::PowerMode::kOblivious, 0.0},
+      {"grid", 64, core::PowerMode::kOblivious, 1e-3},
+  };
+  std::size_t fast_hits = 0;
+  std::size_t fast_misses = 0;
+  std::size_t rechecks_accepted = 0;
+  std::size_t rechecks_demoted = 0;
+  for (const auto& c : cases) {
+    const std::string where = std::string(c.family) + "/" +
+                              std::to_string(c.n) + "/" +
+                              core::to_string(c.mode);
+    const auto links =
+        mst::mst_tree(workload::make_family(c.family, c.n, 5), 0).links;
+    auto config = workload::mode_config(c.mode);
+    config.gamma = 0.5;  // small enough that colour classes must split
+    config.sinr.noise = c.noise;
+    config.repair = false;
+    const Schedule colouring = core::schedule_links(links, config).schedule;
+    const bool global = c.mode == core::PowerMode::kGlobal;
+    const auto power = core::power_for_mode(links, config);
+    const auto oracle = core::oracle_for_mode(links, config);
+    const auto rule =
+        global ? JoinRule::power_control(links, config.sinr)
+               : JoinRule::running_loads(links, config.sinr, power);
+
+    // Repair: rule (a) against the oracle loop, the mode's own rule against
+    // the loop it replaced.
+    const auto want = reference::repair_schedule(links, colouring, oracle);
+    ASSERT_GT(want.slots_split, 0u) << where;
+    expect_same_repair(repair_schedule(links, colouring, oracle), want, where);
+    expect_same_repair(
+        repair_schedule(links, colouring, rule),
+        global ? want
+               : reference::repair_schedule_fixed_power(
+                     links, colouring, config.sinr, power),
+        where);
+
+    // Rule (b) packs like rule (a) over power_control_oracle, and every
+    // slot's vector is the power_control_feasible result on its members.
+    if (global) {
+      for (const auto& cls : colouring.slots) {
+        const auto order = pack_order(links, cls);
+        std::vector<SlotLoad> by_oracle;
+        std::vector<SlotLoad> by_power;
+        const auto a = first_fit(by_oracle, order, oracle);
+        const auto b = first_fit(by_power, order, rule);
+        EXPECT_EQ(a.checks, b.checks) << where;
+        ASSERT_EQ(by_oracle.size(), by_power.size()) << where;
+        for (std::size_t s = 0; s < by_power.size(); ++s) {
+          EXPECT_EQ(by_power[s].members, by_oracle[s].members) << where;
+          const auto pc = sinr::power_control_feasible(
+              links, by_power[s].members, config.sinr);
+          EXPECT_EQ(by_power[s].log2_power, pc.log2_power) << where;
+        }
+      }
+    }
+
+    // Patches: oracle calls, openings and sub-slots in order.
+    for (const auto& in : patch_inputs(colouring, want.schedule, oracle)) {
+      const auto ref = reference::patch_slot(links, in.kept, in.loose, oracle,
+                                             in.kept_certified);
+      const auto got =
+          patch_slot(links, in.kept, in.loose, oracle, in.kept_certified);
+      EXPECT_EQ(got.sub_slots, ref.sub_slots) << where;
+      EXPECT_EQ(got.oracle_calls, ref.oracle_calls) << where;
+      EXPECT_EQ(got.slots_opened, ref.slots_opened) << where;
+      if (global) {
+        const auto pc =
+            patch_slot(links, in.kept, in.loose, rule, in.kept_certified);
+        EXPECT_EQ(pc.sub_slots, ref.sub_slots) << where;
+        EXPECT_EQ(pc.oracle_calls, ref.oracle_calls) << where;
+        ASSERT_EQ(pc.log2_powers.size(), pc.sub_slots.size()) << where;
+        for (std::size_t s = 0; s < pc.sub_slots.size(); ++s) {
+          if (pc.log2_powers[s].empty()) continue;  // kept, never checked
+          EXPECT_EQ(pc.log2_powers[s],
+                    sinr::power_control_feasible(links, pc.sub_slots[s],
+                                                 config.sinr)
+                        .log2_power)
+              << where;
+        }
+      }
+      // Which paths the case took, from the reference's own accounting.
+      std::size_t kept_sub_slots = 0;
+      for (const auto& sub : in.kept) kept_sub_slots += sub.empty() ? 0 : 1;
+      const bool fast_path =
+          kept_sub_slots <= 1 &&
+          (in.loose.size() > 1 || (!in.kept_certified && !in.loose.empty()));
+      if (fast_path) ++(ref.oracle_calls == 1 ? fast_hits : fast_misses);
+      if (!in.kept_certified && (!fast_path || ref.oracle_calls > 1)) {
+        ++(oracle(in.kept.front()) ? rechecks_accepted : rechecks_demoted);
+      }
+    }
+  }
+  EXPECT_GT(fast_hits, 0u);
+  EXPECT_GT(fast_misses, 0u);
+  EXPECT_GT(rechecks_accepted, 0u);
+  EXPECT_GT(rechecks_demoted, 0u);
+}
+
+TEST(OnePacker, InfeasibleSingletonReachesEveryCaller) {
+  // Two unit links and one of length 8 under unit power with noise 0.01:
+  // the long link's noise load alone is 0.01 * 8^3 = 5.12 > 1.
+  geom::Pointset pts{{0, 0}, {1, 0}, {10, 0}, {11, 0}, {20, 0}, {28, 0}};
+  const geom::LinkSet links(
+      pts, {geom::Link{0, 1}, geom::Link{2, 3}, geom::Link{4, 5}});
+  auto prm = params(3.0, 1.0);
+  prm.noise = 0.01;
+  const sinr::PowerAssignment power(std::vector<double>(3, 0.0));
+  const auto oracle = fixed_power_oracle(links, prm, power);
+  ASSERT_TRUE(oracle(std::vector<std::size_t>{0}));
+  ASSERT_FALSE(oracle(std::vector<std::size_t>{2}));
+  const auto loads = JoinRule::running_loads(links, prm, power);
+  Schedule all;
+  all.slots = {{0, 1, 2}};
+
+  EXPECT_THROW((void)repair_schedule(links, all, oracle), std::runtime_error);
+  EXPECT_THROW((void)repair_schedule(links, all, loads), std::runtime_error);
+  EXPECT_THROW((void)patch_slot(links, {{0}}, std::vector<std::size_t>{2},
+                                oracle),
+               std::runtime_error);
+  EXPECT_THROW((void)patch_slot(links, {{0}}, std::vector<std::size_t>{2},
+                                loads),
+               std::runtime_error);
+  // Power control has no infeasible singleton: a lone link raises its
+  // power over any noise, so rule (b) repairs the same slot.
+  const auto pc =
+      repair_schedule(links, all, JoinRule::power_control(links, prm));
+  EXPECT_TRUE(
+      verify_schedule(links, pc.schedule, power_control_oracle(links, prm))
+          .ok());
+
+  // The loop itself does not throw: it places the link alone, without a
+  // certificate, and reports it — core::level_schedule turns that report
+  // into verified = false.
+  for (const auto& rule : {JoinRule(oracle), loads}) {
+    std::vector<SlotLoad> slots;
+    const auto counts =
+        first_fit(slots, std::vector<std::size_t>{2, 0, 1}, rule);
+    EXPECT_EQ(counts.failed_singletons, 1u);
+    Schedule packed;
+    for (const auto& slot : slots) packed.slots.push_back(slot.members);
+    EXPECT_TRUE(is_partition(packed, links.size()));
+    EXPECT_EQ(packed.slots.front(), (std::vector<std::size_t>{2}));
+  }
+}
+
+TEST(OnePacker, LevelScheduleCertifiesEveryLevelUnderNoise) {
+  const auto pts = workload::make_family("uniform", 128, 3);
+  for (const auto mode :
+       {core::PowerMode::kGlobal, core::PowerMode::kUniform}) {
+    auto config = workload::mode_config(mode);
+    config.sinr.noise = 1e-3;
+    const auto tree = mst::pairing_tree(pts, 0);
+    const auto level = core::level_schedule(tree, config);
+    EXPECT_TRUE(level.verified) << core::to_string(mode);
+    EXPECT_TRUE(is_partition(level.schedule, tree.tree.links.size()));
+    EXPECT_TRUE(verify_schedule(tree.tree.links, level.schedule,
+                                core::oracle_for_mode(tree.tree.links, config))
+                    .ok());
   }
 }
 

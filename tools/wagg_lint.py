@@ -59,6 +59,13 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 waits" contract cover. std::thread::hardware_concurrency()
                 and std::this_thread start nothing and pass.
 
+  power-solve   sinr::power_control_feasible and power_control_feasible_log2
+                are called in src/ only from sinr/ (the solver itself) and
+                schedule/ (the join rules and oracles of the one first-fit
+                packer). Every slot vector a plan ships is the certificate
+                the slot's last accepted check left, so no other layer may
+                solve a slot again behind the packer's back.
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -225,6 +232,9 @@ RAW_THREAD_RE = re.compile(
     r"\bstd::(?:j?thread\b(?!\s*::\s*hardware_concurrency)|async\b)")
 # Files (under src/, without extension) that own the library's threads.
 THREAD_POOL_FILES = ("util/parallel", "runtime/executor")
+POWER_SOLVE_RE = re.compile(r"\bpower_control_feasible(?:_log2)?\b")
+# Directories (under src/) that may solve a slot's power vector.
+POWER_SOLVE_DIRS = ("sinr/", "schedule/")
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -244,6 +254,7 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
     may_read_clock = relpath.removeprefix("src/").startswith(STAGE_CLOCK_DIRS)
     owns_threads = (relpath.removeprefix("src/").rsplit(".", 1)[0]
                     in THREAD_POOL_FILES)
+    may_solve = relpath.removeprefix("src/").startswith(POWER_SOLVE_DIRS)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -289,11 +300,16 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                    "raw thread outside util/parallel and runtime/executor: "
                    "split work with util::parallel_for or run it on a "
                    "runtime::Executor queue")
+        if not may_solve and POWER_SOLVE_RE.search(line):
+            report(idx, "power-solve",
+                   "slot power solve outside sinr/ and schedule/: read the "
+                   "certificate the packer's join rule kept (SlotLoad, "
+                   "PatchResult::log2_powers, the stitched assignment)")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
-             "class-grid", "stage-clock", "raw-thread"}
+             "class-grid", "stage-clock", "raw-thread", "power-solve"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
