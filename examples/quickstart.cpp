@@ -35,15 +35,15 @@ int main(int argc, char** argv) {
             << plan.rate() << " frames/slot\n"
             << "SINR verified:    " << (plan.verified() ? "yes" : "NO") << "\n";
 
-  // 3. Inspect the per-slot power vectors computed by the power-control
-  //    algorithm (log2 scale; slot 0 shown).
-  if (!plan.slot_powers.empty() && !plan.schedule().slots[0].empty()) {
+  // 3. Inspect the transmit powers the power-control algorithm certified
+  //    (log2 scale, one per link; slot 0's links shown).
+  if (!plan.schedule().slots[0].empty()) {
     std::cout << "slot 0 links:     " << plan.schedule().slots[0].size()
               << " (log2 powers of first 5):";
     std::size_t shown = 0;
     for (std::size_t link : plan.schedule().slots[0]) {
       if (shown++ == 5) break;
-      std::cout << " " << plan.slot_powers[0].log2_power(link);
+      std::cout << " " << plan.scheduling.power.log2_power(link);
     }
     std::cout << "\n";
   }

@@ -5,7 +5,6 @@
 //   ./wagg_churn                                    # defaults below
 //   ./wagg_churn --family=cluster --n=512 --epochs=30 --rate=0.05
 //   ./wagg_churn --mode=uniform --audit             # cross-check each epoch
-//   ./wagg_churn --powers                           # materialize slot powers
 //   ./wagg_churn --grow=0.02                        # net growth schedule
 //   ./wagg_churn --shrink=0.02                      # net shrink schedule
 //   ./wagg_churn --full-frac=0.1 --seed=7 --csv
@@ -122,18 +121,6 @@ int main(int argc, char** argv) {
       }
     };
 
-    // --powers: ship per-slot Perron vectors every epoch, the way a serving
-    // deployment would. They are read from the plan's slot certificates.
-    const bool powers =
-        args.has("powers") &&
-        options.config.power_mode == core::PowerMode::kGlobal;
-    if (args.has("powers") && !powers) {
-      std::cout << "note: --powers ignored — per-slot Perron vectors exist "
-                   "only under --mode=global (fixed-power modes use a "
-                   "closed-form assignment)\n";
-    }
-    if (powers) (void)planner.slot_powers();
-
     add_row(planner.last_report());
     std::vector<double> epoch_times;  // per-epoch incremental_ms
     epoch_times.reserve(trace.size());
@@ -142,9 +129,7 @@ int main(int argc, char** argv) {
     std::size_t fallbacks = 0;
     bool all_valid = true;
     for (const auto& epoch_mutations : trace) {
-      (void)planner.apply(epoch_mutations);
-      if (powers) (void)planner.slot_powers();
-      const auto report = planner.last_report();
+      const auto report = planner.apply(epoch_mutations);
       add_row(report);
       epoch_times.push_back(report.times.incremental_ms());
       session_times += report.times;
@@ -199,7 +184,6 @@ int main(int argc, char** argv) {
     }
     std::cout << ", " << cache.row_cache_patches << " patches, "
               << cache.row_cache_invalidations << " invalidations, "
-              << cache.row_cache_evictions << " evictions, "
               << cache.rows_cached << " rows live\n";
 
     if (!epoch_times.empty()) {

@@ -7,8 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "util/clock.h"
-
 namespace wagg::conflict {
 
 namespace {
@@ -147,32 +145,34 @@ std::vector<geom::LinkId> ConflictIndex::compute_row(geom::LinkId id) const {
 
 void ConflictIndex::store_row(geom::LinkId id,
                               std::vector<geom::LinkId> ids) const {
-  if (row_cache_entry_cap_ == 0) return;
   const auto slot = static_cast<std::size_t>(id);
   if (rows_.size() <= slot) rows_.resize(slot + 1);
   auto& row = rows_[slot];
-  if (row.cached) {
-    cached_entries_ -= row.ids.size();
-  } else {
+  if (!row.cached) {
     row.cached = true;
     ++rows_live_;
   }
   row.ids = std::move(ids);
-  cached_entries_ += row.ids.size();
-  row.last_used = ++use_serial_;
 }
 
-void ConflictIndex::drop_row(geom::LinkId id,
-                             detail::RelaxedCounter& counter) const {
-  const auto slot = static_cast<std::size_t>(id);
-  if (slot >= rows_.size() || !rows_[slot].cached) return;
-  auto& row = rows_[slot];
-  cached_entries_ -= row.ids.size();
-  row.ids.clear();
-  row.ids.shrink_to_fit();
-  row.cached = false;
-  --rows_live_;
-  counter.add(1);
+void ConflictIndex::unlink_rows(geom::LinkId x, const Entry& entry) {
+  // x's own cached row names the rows holding x exactly; without one, a grid
+  // probe over x's current geometry bounds them (a superset — patch_erase
+  // no-ops on rows not holding x).
+  const auto slot = static_cast<std::size_t>(x);
+  if (slot < rows_.size() && rows_[slot].cached) {
+    auto& row = rows_[slot];
+    const std::vector<geom::LinkId> targets = std::move(row.ids);
+    row.ids.clear();
+    row.cached = false;
+    --rows_live_;
+    row_invalidations_.add(1);
+    patch_erase(targets, x);
+  } else {
+    collect_candidates(entry.sender, entry.receiver, entry.length,
+                       /*prune=*/false, row_scratch_);
+    patch_erase(row_scratch_, x);
+  }
 }
 
 void ConflictIndex::patch_erase(std::span<const geom::LinkId> targets,
@@ -186,7 +186,6 @@ void ConflictIndex::patch_erase(std::span<const geom::LinkId> targets,
     const auto it = std::lower_bound(ids.begin(), ids.end(), x);
     if (it != ids.end() && *it == x) {
       ids.erase(it);
-      --cached_entries_;
       ++patches;
     }
   }
@@ -204,54 +203,18 @@ void ConflictIndex::patch_insert(std::span<const geom::LinkId> targets,
     const auto it = std::lower_bound(ids.begin(), ids.end(), x);
     if (it == ids.end() || *it != x) {
       ids.insert(it, x);
-      ++cached_entries_;
       ++patches;
     }
   }
   row_patches_ += patches;
 }
 
-void ConflictIndex::flush_rows(detail::RelaxedCounter& counter) const {
+void ConflictIndex::flush_rows() const {
   if (rows_live_ != 0) {
-    counter.add(static_cast<std::uint64_t>(rows_live_));
+    row_invalidations_.add(static_cast<std::uint64_t>(rows_live_));
   }
   rows_.clear();
   rows_live_ = 0;
-  cached_entries_ = 0;
-}
-
-void ConflictIndex::maybe_evict() const {
-  if (row_cache_entry_cap_ == 0 || cached_entries_ <= row_cache_entry_cap_) {
-    return;
-  }
-  // Deterministic LRU: recency is the monotone use serial (bumped on query
-  // use and materialization, never by patches), so every run evicts the
-  // same rows in the same order — no wall clock anywhere near the cache.
-  std::vector<std::pair<std::uint64_t, geom::LinkId>> order;
-  order.reserve(rows_live_);
-  for (std::size_t slot = 0; slot < rows_.size(); ++slot) {
-    if (rows_[slot].cached) {
-      order.emplace_back(rows_[slot].last_used,
-                         static_cast<geom::LinkId>(slot));
-    }
-  }
-  std::sort(order.begin(), order.end());
-  // Hysteresis: sweep down to half the cap so a cache sitting at the
-  // boundary does not evict on every materialization.
-  const std::size_t target = row_cache_entry_cap_ / 2;
-  for (const auto& [used, id] : order) {
-    if (cached_entries_ <= target) break;
-    drop_row(id, row_evictions_);
-  }
-}
-
-void ConflictIndex::set_row_cache_entry_cap(std::size_t cap) {
-  row_cache_entry_cap_ = cap;
-  if (cap == 0) {
-    flush_rows(row_evictions_);
-  } else {
-    maybe_evict();
-  }
 }
 
 ConflictIndexStats ConflictIndex::stats() const noexcept {
@@ -260,7 +223,6 @@ ConflictIndexStats ConflictIndex::stats() const noexcept {
   s.removes = removes_;
   s.updates = updates_;
   s.reclasses = reclasses_;
-  s.maintain_ms = maintain_ms_;
   s.rows_queried = rows_queried_.load();
   s.dedupe_hits = dedupe_hits_.load();
   s.cells_pruned = cells_pruned_.load();
@@ -268,14 +230,12 @@ ConflictIndexStats ConflictIndex::stats() const noexcept {
   s.row_cache_misses = row_misses_.load();
   s.row_cache_patches = row_patches_;
   s.row_cache_invalidations = row_invalidations_.load();
-  s.row_cache_evictions = row_evictions_.load();
   s.rows_cached = rows_live_;
   return s;
 }
 
 void ConflictIndex::add(geom::LinkId id, const geom::Point& sender,
                         const geom::Point& receiver, double length) {
-  const auto start = util::Clock::now();
   if (id < 0) {
     throw std::invalid_argument("ConflictIndex::add: negative link id");
   }
@@ -307,46 +267,21 @@ void ConflictIndex::add(geom::LinkId id, const geom::Point& sender,
     auto fresh = compute_row(id);
     patch_insert(fresh, id);
     store_row(id, std::move(fresh));
-    maybe_evict();
   }
   ++adds_;
-  maintain_ms_ += util::ms_since(start);
 }
 
 void ConflictIndex::remove(geom::LinkId id) {
-  const auto start = util::Clock::now();
   auto& entry = checked(id);
-  if (rows_live_ > 0) {
-    // Erase the link from every cached row containing it. Its own cached
-    // row names those rows exactly; without one, a grid probe over the
-    // current geometry bounds them (a superset — patch_erase no-ops on rows
-    // not holding the id).
-    const auto slot = static_cast<std::size_t>(id);
-    if (slot < rows_.size() && rows_[slot].cached) {
-      auto& row = rows_[slot];
-      std::vector<geom::LinkId> targets = std::move(row.ids);
-      row.ids.clear();
-      row.cached = false;
-      cached_entries_ -= targets.size();
-      --rows_live_;
-      row_invalidations_.add(1);
-      patch_erase(targets, id);
-    } else {
-      collect_candidates(entry.sender, entry.receiver, entry.length,
-                         /*prune=*/false, row_scratch_);
-      patch_erase(row_scratch_, id);
-    }
-  }
+  if (rows_live_ > 0) unlink_rows(id, entry);
   grid_erase(entry, id);
   entry.live = false;
   --live_;
   ++removes_;
-  maintain_ms_ += util::ms_since(start);
 }
 
 void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
                            const geom::Point& receiver, double length) {
-  const auto start = util::Clock::now();
   if (!(length > 0.0)) {
     throw std::invalid_argument(
         "ConflictIndex::update: length must be positive");
@@ -354,31 +289,13 @@ void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
   auto& entry = checked(id);
   if (entry.sender == sender && entry.receiver == receiver &&
       entry.length == length) {
-    // Bit-identical geometry (the store's set_length + touch refresh double
-    // fires here): no cell and no row can change.
+    // Bit-identical geometry (a link queued twice in one epoch lands here on
+    // its second visit): no cell and no row can change.
     ++updates_;
-    maintain_ms_ += util::ms_since(start);
     return;
   }
   const bool rows_active = rows_live_ > 0;
-  if (rows_active) {
-    // Erase phase against the OLD geometry (see remove()).
-    const auto slot = static_cast<std::size_t>(id);
-    if (slot < rows_.size() && rows_[slot].cached) {
-      auto& row = rows_[slot];
-      std::vector<geom::LinkId> targets = std::move(row.ids);
-      row.ids.clear();
-      row.cached = false;
-      cached_entries_ -= targets.size();
-      --rows_live_;
-      row_invalidations_.add(1);
-      patch_erase(targets, id);
-    } else {
-      collect_candidates(entry.sender, entry.receiver, entry.length,
-                         /*prune=*/false, row_scratch_);
-      patch_erase(row_scratch_, id);
-    }
-  }
+  if (rows_active) unlink_rows(id, entry);  // against the OLD geometry
   const int cls = class_of(length);
   const bool moved =
       entry.sender != sender || entry.receiver != receiver;
@@ -407,16 +324,14 @@ void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
     auto fresh = compute_row(id);
     patch_insert(fresh, id);
     store_row(id, std::move(fresh));
-    maybe_evict();
   }
   ++updates_;
-  maintain_ms_ += util::ms_since(start);
 }
 
 void ConflictIndex::clear() {
   entries_.clear();
   classes_.clear();
-  flush_rows(row_invalidations_);
+  flush_rows();
   live_ = 0;
 }
 
@@ -438,7 +353,7 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
   // mutation-path maintenance and compute_row evaluate against, so it must
   // be synced before any row work below.
   if (!cache_enabled_ || !(spec == cached_spec_)) {
-    flush_rows(row_invalidations_);
+    flush_rows();
     cached_spec_ = spec;
     cache_enabled_ = true;
   }
@@ -457,8 +372,6 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
   rows_queried_.add(static_cast<std::uint64_t>(queries.size()));
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  const bool may_cache = row_cache_entry_cap_ > 0;
-  std::vector<geom::LinkId> fresh;
   for (std::size_t k = 0; k < queries.size(); ++k) {
     const geom::LinkId id = links.id_of(queries[k]);
     if (!contains(id)) {
@@ -467,31 +380,22 @@ std::vector<std::vector<std::int32_t>> ConflictIndex::neighbors(
           "a snapshot of the mirrored store");
     }
     const auto slot = static_cast<std::size_t>(id);
-    const std::vector<geom::LinkId>* ids = nullptr;
     if (slot < rows_.size() && rows_[slot].cached) {
       ++hits;
-      rows_[slot].last_used = ++use_serial_;
-      ids = &rows_[slot].ids;
     } else {
       ++misses;
-      fresh = compute_row(id);
-      if (may_cache) {
-        store_row(id, std::move(fresh));
-        ids = &rows_[slot].ids;
-      } else {
-        ids = &fresh;
-      }
+      store_row(id, compute_row(id));
     }
     // Rows are sorted in id-space and dense order is increasing id, so the
     // translated row comes out sorted — byte-identical to the one-shot
     // builders' dense rows.
+    const auto& ids = rows_[slot].ids;
     auto& out = result[k];
-    out.reserve(ids->size());
-    for (const geom::LinkId nid : *ids) out.push_back(dense_of(nid));
+    out.reserve(ids.size());
+    for (const geom::LinkId nid : ids) out.push_back(dense_of(nid));
   }
   if (hits != 0) row_hits_.add(hits);
   if (misses != 0) row_misses_.add(misses);
-  maybe_evict();
   return result;
 }
 

@@ -41,16 +41,14 @@ class RelaxedCounter {
 }  // namespace detail
 
 /// Maintenance and shape counters of a ConflictIndex, snapshotted by value
-/// from ConflictIndex::stats(). maintain_ms is the accumulated wall clock of
-/// every add/remove/update since construction — callers diff it across an
-/// epoch to attribute index upkeep separately from query time.
+/// from ConflictIndex::stats(). The index reads no clock: its owner times
+/// upkeep and queries by the stage spans it runs them in.
 struct ConflictIndexStats {
   std::size_t adds = 0;
   std::size_t removes = 0;
   std::size_t updates = 0;
   /// Updates that moved a link to a different length class.
   std::size_t reclasses = 0;
-  double maintain_ms = 0.0;
   /// Rows answered — one per query index across all neighbors() calls.
   std::uint64_t rows_queried = 0;
   /// Grid candidates skipped because the visit stamp already saw them via
@@ -67,11 +65,9 @@ struct ConflictIndexStats {
   /// Single-id insert/erase edits applied to cached rows on the mutation
   /// path (the diff maintenance work).
   std::uint64_t row_cache_patches = 0;
-  /// Cached rows dropped for a reason other than capacity: spec change,
-  /// link removal/re-class-update of the row's owner, clear().
+  /// Cached rows dropped: spec change, removal or geometry update of the
+  /// row's owner, clear().
   std::uint64_t row_cache_invalidations = 0;
-  /// Cached rows dropped by the LRU capacity sweep.
-  std::uint64_t row_cache_evictions = 0;
   /// Rows currently materialized (a gauge, not a monotone counter).
   std::size_t rows_cached = 0;
 };
@@ -112,13 +108,14 @@ struct ConflictIndexStats {
 /// per-epoch) and are translated through the view at query time; id order
 /// equals dense order, so translated rows stay sorted. The cache is keyed to
 /// one ConflictSpec at a time: a query under a different spec flushes it.
-/// Capacity is bounded by a total-entry cap with deterministic
-/// least-recently-used eviction (recency is a monotone use serial, never
-/// wall clock, so runs replay bit-identically).
+/// The cache holds at most one row per live link, so it is never larger
+/// than the G_f adjacency build_graph materializes in full.
 ///
 /// The index stores endpoint positions by value: the owning planner feeds
-/// them in on every geometry change (LinkStore carries node ids, not
-/// positions). Queries take the per-epoch geom::LinkView snapshot of the
+/// them in when it syncs the index to its store, once per epoch (LinkStore
+/// carries node ids, not positions). The index reads no clock; the
+/// planner's conflict_maintain and conflict_query stage spans time it.
+/// Queries take the per-epoch geom::LinkView snapshot of the
 /// same store — the view supplies the dense-index space of the answer rows;
 /// its geometry must be bit-identical to the mirrored columns (both sides of
 /// the planner copy the same coordinates), which audit mode re-checks every
@@ -147,15 +144,15 @@ class ConflictIndex {
   /// Refreshes a link's endpoints/length after its geometry changed.
   /// Re-classing happens lazily: the link moves to another grid only when
   /// its length crossed a class boundary; an in-class move just re-buckets
-  /// the two endpoint cells. A bit-identical geometry refresh (the
-  /// set_length + touch double fire of the store's refresh path) touches
-  /// neither the grids nor the row cache.
+  /// the two endpoint cells. A bit-identical geometry refresh (a link the
+  /// planner's sync visits twice, after the store's set_length + touch
+  /// pair) touches neither the grids nor the row cache.
   void update(geom::LinkId id, const geom::Point& sender,
               const geom::Point& receiver, double length);
 
-  /// Drops every link and every cached row. Counters and accumulated stats
-  /// survive; the re-seed path (planner reconcile_full) relies on this to
-  /// guarantee a failed epoch cannot leave stale rows behind.
+  /// Drops every link and every cached row. Counters survive; the
+  /// planner's re-seed relies on this to guarantee a failed epoch cannot
+  /// leave stale rows behind.
   void clear();
 
   [[nodiscard]] bool contains(geom::LinkId id) const noexcept {
@@ -173,14 +170,6 @@ class ConflictIndex {
 
   /// Rows currently materialized in the cache.
   [[nodiscard]] std::size_t rows_cached() const noexcept { return rows_live_; }
-
-  /// Total cached row entries (sum of cached row sizes) the LRU sweep keeps
-  /// the cache under. Lowering the cap evicts immediately; 0 disables
-  /// caching entirely (every query recomputes, nothing is stored).
-  void set_row_cache_entry_cap(std::size_t cap);
-  [[nodiscard]] std::size_t row_cache_entry_cap() const noexcept {
-    return row_cache_entry_cap_;
-  }
 
   /// Conflict rows for a subset of dense link indices: result[k] holds the
   /// sorted dense indices conflicting with queries[k] — byte-identical to
@@ -221,7 +210,6 @@ class ConflictIndex {
   /// its owner under cached_spec_, kept exact by diff patching.
   struct Row {
     std::vector<geom::LinkId> ids;
-    std::uint64_t last_used = 0;  ///< monotone use serial (LRU key)
     bool cached = false;
   };
 
@@ -250,20 +238,18 @@ class ConflictIndex {
   /// cached_spec_, computed from the grids.
   [[nodiscard]] std::vector<geom::LinkId> compute_row(geom::LinkId id) const;
 
-  /// Stores `ids` as the cached row of `id` and bumps its recency.
+  /// Stores `ids` as the cached row of `id`.
   void store_row(geom::LinkId id, std::vector<geom::LinkId> ids) const;
-  /// Drops the cached row of `id` if present, charging `counter`.
-  void drop_row(geom::LinkId id, detail::RelaxedCounter& counter) const;
+  /// Uncaches x's own row and erases x from every cached row holding it
+  /// (the first half of remove and update, against x's current geometry).
+  void unlink_rows(geom::LinkId x, const Entry& entry);
   /// Erases `x` from the cached rows of every id in `targets` (no-op for
   /// uncached targets and rows not containing x).
   void patch_erase(std::span<const geom::LinkId> targets, geom::LinkId x);
   /// Inserts `x` into the cached rows of every id in `targets`.
   void patch_insert(std::span<const geom::LinkId> targets, geom::LinkId x);
-  /// Drops every cached row (spec change / clear), charging `counter`.
-  void flush_rows(detail::RelaxedCounter& counter) const;
-  /// LRU capacity sweep: evicts least-recently-used rows down to half the
-  /// cap once the entry total exceeds it.
-  void maybe_evict() const;
+  /// Drops every cached row (spec change / clear).
+  void flush_rows() const;
 
   std::vector<Entry> entries_;  ///< indexed by LinkId (ids never reused)
   std::map<int, detail::ClassGrid<geom::LinkId>> classes_;
@@ -283,14 +269,9 @@ class ConflictIndex {
 
   // ---- materialized row cache (logically const memoization) ----
   mutable std::vector<Row> rows_;  ///< indexed by LinkId, like entries_
-  mutable std::size_t rows_live_ = 0;      ///< rows currently cached
-  mutable std::size_t cached_entries_ = 0;  ///< sum of cached row sizes
-  mutable std::uint64_t use_serial_ = 0;    ///< monotone recency clock
+  mutable std::size_t rows_live_ = 0;  ///< rows currently cached
   mutable ConflictSpec cached_spec_{};
   mutable bool cache_enabled_ = false;  ///< cached_spec_ is meaningful
-  std::size_t row_cache_entry_cap_ = kDefaultRowCacheEntryCap;
-  static constexpr std::size_t kDefaultRowCacheEntryCap = std::size_t{1}
-                                                          << 22;
 
   // ---- counters ----
   // Mutation-path counters are plain fields (mutations require exclusive
@@ -301,7 +282,6 @@ class ConflictIndex {
   std::size_t removes_ = 0;
   std::size_t updates_ = 0;
   std::size_t reclasses_ = 0;
-  double maintain_ms_ = 0.0;
   std::uint64_t row_patches_ = 0;
   mutable detail::RelaxedCounter rows_queried_;
   mutable detail::RelaxedCounter dedupe_hits_;
@@ -309,7 +289,6 @@ class ConflictIndex {
   mutable detail::RelaxedCounter row_hits_;
   mutable detail::RelaxedCounter row_misses_;
   mutable detail::RelaxedCounter row_invalidations_;
-  mutable detail::RelaxedCounter row_evictions_;
 };
 
 /// G_f of any view, built through a throwaway ConflictIndex — the planning

@@ -69,7 +69,7 @@ sinr::PowerAssignment power_for_mode(const geom::LinkView& links,
     case PowerMode::kOblivious:
       return sinr::oblivious_power(links, config.tau, config.sinr);
     case PowerMode::kGlobal:
-      // Placeholder identity; real powers are per-slot Perron vectors.
+      // Placeholder identity; verification stitches the certified powers.
       return sinr::PowerAssignment(std::vector<double>(links.size(), 0.0),
                                    "global(per-slot)");
   }
@@ -177,28 +177,6 @@ PlanResult plan_aggregation(const geom::Pointset& points,
     }
   }
   result.scheduling = schedule_links(result.tree.links, config, &t);
-
-  if (config.power_mode == PowerMode::kGlobal) {
-    obs::StageSpan stage(t.slot(Stage::kPower));
-    // Materialize the per-slot global power vectors (the actual output of
-    // the power-control algorithm) from the certificates verification left
-    // in the stitched assignment; a rejected slot gets a zero vector.
-    const auto& scheduling = result.scheduling;
-    const auto& rejected = scheduling.verification.infeasible_slots;
-    const std::size_t n = result.tree.links.size();
-    result.slot_powers.reserve(scheduling.schedule.length());
-    for (std::size_t s = 0; s < scheduling.schedule.length(); ++s) {
-      std::vector<double> lp(n, 0.0);
-      if (std::binary_search(rejected.begin(), rejected.end(), s)) {
-        result.slot_powers.emplace_back(std::move(lp), "infeasible-slot");
-        continue;
-      }
-      for (const auto i : scheduling.schedule.slots[s]) {
-        lp[i] = scheduling.power.log2_power(i);
-      }
-      result.slot_powers.emplace_back(std::move(lp), "power-control");
-    }
-  }
   return result;
 }
 

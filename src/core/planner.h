@@ -68,19 +68,18 @@ struct PlannerConfig {
 };
 
 /// The planner's leaf stages. A static plan runs mst_update (the tree
-/// build), conflict_query (the whole conflict graph), recolor, repair,
-/// verify and, for global power, power; an incremental epoch adds orient,
-/// conflict_maintain and dirty_detect.
+/// build), conflict_query (the whole conflict graph), recolor, repair and
+/// verify; an incremental epoch adds orient, conflict_maintain and
+/// dirty_detect.
 enum class Stage : std::size_t {
   kMstUpdate,         ///< spanning-tree build, or incremental MST updates
   kOrient,            ///< edge-diff replay onto the LinkStore + snapshot
-  kConflictMaintain,  ///< ConflictIndex upkeep (carved out of orient)
+  kConflictMaintain,  ///< ConflictIndex sync with the store's changes
   kConflictQuery,     ///< conflict rows, or the whole conflict graph
   kDirtyDetect,       ///< dirty links and the coloring seed
   kRecolor,           ///< coloring, seeded or from scratch
   kRepair,            ///< slot repair (carry-over + patch on epochs)
   kVerify,            ///< full-schedule verification
-  kPower,             ///< per-slot global power materialization
   kAudit,             ///< audit: from-scratch replan + equivalence checks
 };
 inline constexpr std::size_t kNumStages =
@@ -88,20 +87,17 @@ inline constexpr std::size_t kNumStages =
 
 /// Span names, indexed by Stage.
 inline constexpr std::array<const char*, kNumStages> kStageNames = {
-    "mst_update",   "orient",  "conflict_maintain", "conflict_query",
-    "dirty_detect", "recolor", "repair",            "verify",
-    "power",        "audit"};
+    "mst_update", "orient", "conflict_maintain", "conflict_query",
+    "dirty_detect", "recolor", "repair", "verify", "audit"};
 
 [[nodiscard]] constexpr const char* stage_name(Stage stage) noexcept {
   return kStageNames[static_cast<std::size_t>(stage)];
 }
 
 /// Milliseconds per leaf stage of one plan, epoch or request. Only an
-/// obs::StageSpan opened on slot(stage) writes an entry, and within one
-/// table no stage span encloses another, so the entries partition the
-/// timed work; sums are derived, never stored. The one exception is the
-/// conflict-index carve-out in DynamicPlanner::replan, which moves the
-/// index's own maintain time from orient to conflict_maintain.
+/// obs::StageSpan opened on slot(stage) writes an entry (operator+= sums
+/// whole tables), and within one table no stage span encloses another, so
+/// the entries partition the timed work; sums are derived, never stored.
 struct StageTimes {
   std::array<double, kNumStages> ms{};
 
@@ -132,9 +128,9 @@ struct StageTimes {
   [[nodiscard]] double total_ms() const noexcept {
     return std::accumulate(ms.begin(), ms.end(), 0.0);
   }
-  /// The planning cost proper: all but on-demand power and the audit.
+  /// The planning cost proper: all but the audit.
   [[nodiscard]] double incremental_ms() const noexcept {
-    return total_ms() - (*this)[Stage::kPower] - (*this)[Stage::kAudit];
+    return total_ms() - (*this)[Stage::kAudit];
   }
 };
 
@@ -147,9 +143,10 @@ struct LinkScheduleResult {
   std::size_t colors_before_repair = 0;
   /// Slots the repair pass had to split (0 when repair disabled or clean).
   std::size_t slots_split = 0;
-  /// The fixed power assignment (uniform/linear/oblivious); for kGlobal this
-  /// holds per-link powers stitched from each link's home slot, the vectors
-  /// verification certified (0 for links of a slot it rejected).
+  /// The power every link transmits at, the plan's one power vector: the
+  /// fixed assignment (uniform/linear/oblivious), or for kGlobal the log2
+  /// Perron power verification certified in the link's slot (each link
+  /// sends in exactly one slot; 0 for links of a slot it rejected).
   sinr::PowerAssignment power;
 
   [[nodiscard]] double rate() const { return schedule.coloring_rate(); }
@@ -166,7 +163,7 @@ struct LinkScheduleResult {
     const geom::LinkView& links, const PlannerConfig& config);
 
 /// The fixed power assignment for the configured mode (identity powers for
-/// kGlobal, whose per-slot powers are computed later).
+/// kGlobal, whose certified per-link powers schedule_links stitches).
 [[nodiscard]] sinr::PowerAssignment power_for_mode(const geom::LinkView& links,
                                                    const PlannerConfig& config);
 
@@ -194,13 +191,11 @@ struct WarmStart {
     StageTimes* times = nullptr, const WarmStart* warm = nullptr,
     const conflict::ConflictIndex* conflict_index = nullptr);
 
-/// Full aggregation plan for a pointset.
+/// Full aggregation plan for a pointset: the tree, the TDMA schedule and
+/// the per-link power (scheduling.power).
 struct PlanResult {
   mst::AggregationTree tree;
   LinkScheduleResult scheduling;
-  /// For kGlobal: log2 power vector per slot (aligned with schedule slots),
-  /// materialized from scheduling.power; a rejected slot's is all zero.
-  std::vector<sinr::PowerAssignment> slot_powers;
 
   [[nodiscard]] const schedule::Schedule& schedule() const {
     return scheduling.schedule;
@@ -213,8 +208,8 @@ struct PlanResult {
 /// powers for the mode, color the matching conflict graph, repair and verify.
 /// Throws std::invalid_argument on malformed inputs (duplicate points, < 2
 /// points, sink out of range). Every stage (mst_update for the tree build,
-/// then schedule_links' stages, then power for kGlobal) is a StageSpan,
-/// added into `times` when it is non-null; the plan itself is unaffected.
+/// then schedule_links' stages) is a StageSpan, added into `times` when it
+/// is non-null; the plan itself is unaffected.
 [[nodiscard]] PlanResult plan_aggregation(const geom::Pointset& points,
                                           const PlannerConfig& config,
                                           StageTimes* times = nullptr);

@@ -14,6 +14,7 @@
 #include "obs/trace.h"
 #include "schedule/repair.h"
 #include "schedule/verify.h"
+#include "sinr/feasibility.h"
 
 namespace wagg::dynamic {
 
@@ -52,14 +53,11 @@ struct PlannerMetrics {
   obs::Counter& row_cache_patches = reg.counter("conflict.row_cache_patches");
   obs::Counter& row_cache_invalidations =
       reg.counter("conflict.row_cache_invalidations");
-  obs::Counter& row_cache_evictions =
-      reg.counter("conflict.row_cache_evictions");
   obs::Histogram& epoch_ms = reg.histogram("dynamic.epoch_ms");
   obs::Histogram& mst_ms = reg.histogram("dynamic.mst_ms");
   obs::Histogram& conflict_ms = reg.histogram("dynamic.conflict_ms");
   obs::Histogram& recolor_ms = reg.histogram("dynamic.recolor_ms");
   obs::Histogram& repair_ms = reg.histogram("dynamic.repair_ms");
-  obs::Histogram& power_ms = reg.histogram("dynamic.power_ms");
   obs::Histogram& dirty_per_epoch =
       reg.histogram("dynamic.dirty_links_per_epoch");
 };
@@ -83,12 +81,9 @@ void DynamicOptions::validate() const {
   }
 }
 
-void DynamicPlanner::on_add(geom::LinkId id) {
-  conflict_index_.add(id, mst_.position(store_.sender(id)),
-                      mst_.position(store_.receiver(id)), store_.length(id));
-}
+void DynamicPlanner::on_add(geom::LinkId id) { index_queue_.push_back(id); }
 
-void DynamicPlanner::on_remove(geom::LinkId id) { conflict_index_.remove(id); }
+void DynamicPlanner::on_remove(geom::LinkId id) { index_queue_.push_back(id); }
 
 void DynamicPlanner::on_flip(geom::LinkId id) {
   // An orientation flip leaves the undirected endpoint pair — the conflict
@@ -97,15 +92,48 @@ void DynamicPlanner::on_flip(geom::LinkId id) {
 }
 
 void DynamicPlanner::on_set_length(geom::LinkId id) {
-  conflict_index_.update(id, mst_.position(store_.sender(id)),
-                         mst_.position(store_.receiver(id)),
-                         store_.length(id));
+  index_queue_.push_back(id);
 }
 
 void DynamicPlanner::on_touch(geom::LinkId id) {
   // touch marks geometry context changes; the endpoints may have moved even
-  // when the cached length survived, so refresh the index cells.
-  on_set_length(id);
+  // when the cached length survived, so the index cells need a refresh.
+  index_queue_.push_back(id);
+}
+
+void DynamicPlanner::sync_conflict_index() {
+  // A live link enters the index, or is refreshed there, from the store's
+  // current endpoints and length.
+  const auto put = [&](geom::LinkId link) {
+    const auto& sender = mst_.position(store_.sender(link));
+    const auto& receiver = mst_.position(store_.receiver(link));
+    if (conflict_index_.contains(link)) {
+      conflict_index_.update(link, sender, receiver, store_.length(link));
+    } else {
+      conflict_index_.add(link, sender, receiver, store_.length(link));
+    }
+  };
+  if (reseed_index_) {
+    // reconcile_full's request: rebuild from the store. A reconcile can
+    // follow a FAILED epoch whose touched-node list died with the exception
+    // frame — a node may have moved while its uplink length stayed
+    // bit-identical, so no event named the link and the index would keep the
+    // endpoint's OLD position (wrong grid cell, wrong distance prune). The
+    // reconcile is already O(n), so the rebuild is asymptotically free.
+    index_queue_.clear();
+    conflict_index_.clear();
+    for (const auto link : store_.live_ids()) put(link);
+    reseed_index_ = false;
+    return;
+  }
+  for (const auto link : index_queue_) {
+    if (store_.alive(link)) {
+      put(link);
+    } else if (conflict_index_.contains(link)) {
+      conflict_index_.remove(link);
+    }
+  }
+  index_queue_.clear();
 }
 
 DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
@@ -251,8 +279,6 @@ std::vector<EpochReport> DynamicPlanner::apply_trace(const ChurnTrace& trace) {
 void DynamicPlanner::invalidate_carried_state() {
   std::fill(slot_of_.begin(), slot_of_.end(), -1);
   prev_slot_count_.clear();
-  slot_powers_.clear();
-  slot_powers_current_ = false;
   force_reconcile_ = true;
 }
 
@@ -460,19 +486,9 @@ void DynamicPlanner::reconcile_full() {
     }
   }
 
-  // Re-seed the conflict index from the reconciled truth. The listener kept
-  // it structurally in sync above, but a reconcile can follow a FAILED epoch
-  // whose touched-node list died with the exception frame — a node may have
-  // moved while its uplink length stayed bit-identical, in which case the
-  // set_length refresh above fires no event and the index would keep the
-  // endpoint's OLD position (wrong grid cell, wrong distance prune). This
-  // path is already O(n), so the rebuild is asymptotically free.
-  conflict_index_.clear();
-  for (const auto link : store_.live_ids()) {
-    conflict_index_.add(link, mst_.position(store_.sender(link)),
-                        mst_.position(store_.receiver(link)),
-                        store_.length(link));
-  }
+  // The conflict index is re-seeded from the reconciled store, not from the
+  // events queued above (see sync_conflict_index).
+  reseed_index_ = true;
 }
 
 void DynamicPlanner::refresh_touched(const std::vector<NodeId>& touched) {
@@ -496,11 +512,8 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
                             EpochReport& report) {
   const auto& config = options_.config;
 
-  // ---- bring the id-space store in line with the maintained tree ----
-  // Conflict-index upkeep rides the store's listener hooks inside this
-  // stage; its accumulated-timer delta is carved out of orient below so
-  // the conflict layer owns the full conflict-layer cost.
-  const double maintain_mark = conflict_index_.stats().maintain_ms;
+  // ---- bring the id-space store in line with the maintained tree; its
+  // listener hooks queue the changed link ids for the index sync below ----
   obs::StageSpan stage(report.times.slot(Stage::kOrient));
   const auto delta = mst_.take_delta();
   {
@@ -532,13 +545,12 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   const auto sink_idx = static_cast<std::int32_t>(sink_it - ids.begin());
   geom::LinkSet links(store_.snapshot(points, node_index));
   const std::size_t n = links.size();
-  const double maintain_ms =
-      conflict_index_.stats().maintain_ms - maintain_mark;
+
+  // ---- conflict upkeep: apply the queued store changes to the index.
+  // Nothing has queried the index this epoch yet. ----
+  stage.next(report.times.slot(Stage::kConflictMaintain));
+  sync_conflict_index();
   stage.next(report.times.slot(Stage::kDirtyDetect));
-  // The one carve-out of the stage clock: the index timed its own upkeep
-  // inside the orient span; move that time to conflict_maintain.
-  report.times[Stage::kOrient] -= maintain_ms;
-  report.times[Stage::kConflictMaintain] += maintain_ms;
 
   // ---- dirty detection via generation counters (no conflict graph
   // needed: the pairwise conflict relation of two geometrically unchanged
@@ -709,7 +721,6 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     }
   }
   plan_clock_ = store_.clock();
-  slot_powers_current_ = false;
   current_.points = std::move(points);
   current_.ids = std::move(ids);
   current_.sink = sink_idx;
@@ -718,34 +729,19 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   current_.rate = report.rate;
 }
 
-const std::vector<sinr::PowerAssignment>& DynamicPlanner::slot_powers() {
-  if (options_.config.power_mode != core::PowerMode::kGlobal) {
-    throw std::logic_error(
-        "DynamicPlanner::slot_powers: fixed-power modes use sinr::*_power, "
-        "not per-slot Perron vectors");
-  }
-  if (slot_powers_current_) return slot_powers_;
-  const double power_mark = report_.times[Stage::kPower];
-  obs::StageSpan stage(report_.times.slot(Stage::kPower));
+sinr::PowerAssignment DynamicPlanner::power() const {
   const auto& links = current_.links;
-  slot_powers_.clear();
-  slot_powers_.reserve(current_.schedule.slots.size());
-  for (const auto& slot : current_.schedule.slots) {
-    std::vector<double> dense(links.size(), 0.0);
-    for (const auto i : slot) {
-      dense[i] = log2_power_of_[static_cast<std::size_t>(links.id_of(i))];
-    }
-    const bool certified = std::none_of(
-        slot.begin(), slot.end(), [&](auto i) { return std::isnan(dense[i]); });
-    if (!certified) std::fill(dense.begin(), dense.end(), 0.0);
-    slot_powers_.emplace_back(std::move(dense),
-                              certified ? "power-control" : "infeasible-slot");
+  if (options_.config.power_mode != core::PowerMode::kGlobal) {
+    return core::power_for_mode(links, options_.config);
   }
-
-  slot_powers_current_ = true;
-  stage.close();
-  planner_metrics().power_ms.record(report_.times[Stage::kPower] - power_mark);
-  return slot_powers_;
+  std::vector<double> lp(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const double p = log2_power_of_[static_cast<std::size_t>(links.id_of(i))];
+    // NaN marks the links of a slot verification rejected (repair off):
+    // every member of that slot carries it, and each reads 0.
+    lp[i] = std::isnan(p) ? 0.0 : p;
+  }
+  return sinr::PowerAssignment(std::move(lp), "power-control");
 }
 
 void DynamicPlanner::run_audit(EpochReport& report) {
@@ -767,6 +763,16 @@ void DynamicPlanner::run_audit(EpochReport& report) {
   const auto verification =
       schedule::verify_schedule(current_.links, current_.schedule, oracle);
   report.audit_valid = verification.ok();
+
+  // The powers the plan ships must certify every slot from scratch: carried
+  // vectors included, not only the slots re-solved above.
+  const auto power = this->power();
+  report.audit_power_valid = std::all_of(
+      current_.schedule.slots.begin(), current_.schedule.slots.end(),
+      [&](const std::vector<std::size_t>& slot) {
+        return sinr::is_feasible(current_.links, slot, config.sinr, power,
+                                 1e-6);
+      });
 
   // The incremental MST must weigh exactly as much as a from-scratch MST.
   double incremental_weight = 0.0;
@@ -859,8 +865,6 @@ void DynamicPlanner::publish_epoch_metrics(const EpochReport& report) {
   metrics.row_cache_invalidations.add(
       conflict_stats.row_cache_invalidations -
       conflict_stats_mark_.row_cache_invalidations);
-  metrics.row_cache_evictions.add(conflict_stats.row_cache_evictions -
-                                  conflict_stats_mark_.row_cache_evictions);
   conflict_stats_mark_ = conflict_stats;
 
   const core::StageTimes& t = report.times;

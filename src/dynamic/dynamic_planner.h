@@ -57,10 +57,11 @@ struct EpochReport {
   /// previous one; audit mode re-checks everything from scratch.
   bool valid = false;
 
-  /// Per-stage milliseconds of this epoch. Epoch 0 (the open) counts the
-  /// seed tree build as mst_update; full-replan epochs add verify; audit
-  /// and on-demand power materialization (slot_powers()) get their own
-  /// entries, outside incremental_ms().
+  /// Per-stage milliseconds of this epoch, each the work of one StageSpan.
+  /// Epoch 0 (the open) counts the seed tree build as mst_update;
+  /// full-replan epochs add verify; the audit gets its own entry, outside
+  /// incremental_ms(). Written by the epoch that produced the report and
+  /// never afterwards.
   core::StageTimes times;
 
   // ---- audit mode only ----
@@ -77,16 +78,21 @@ struct EpochReport {
   /// repeat query served entirely from the diff-maintained row cache
   /// returns the same rows (cache ≡ from-scratch equality).
   bool audit_index_match = false;
+  /// Every slot of the incremental schedule satisfies the SINR inequalities
+  /// under the power the plan ships (DynamicPlanner::power()), up to 1e-6:
+  /// the from-scratch twin of the carried power certificates.
+  bool audit_power_valid = false;
   std::size_t audit_full_slots = 0;  ///< schedule length of the full replan
   double audit_full_rate = 0.0;
   double audit_full_ms = 0.0;  ///< stage total of the from-scratch plan
 
-  /// True unless an audit ran and any of its four verdicts failed. Every
+  /// True unless an audit ran and any of its five verdicts failed. Every
   /// consumer that counts an epoch as verified reads this, so none can
   /// check a subset of the verdicts.
   [[nodiscard]] bool audit_ok() const noexcept {
     return !audited || (audit_valid && audit_tree_match &&
-                        audit_store_match && audit_index_match);
+                        audit_store_match && audit_index_match &&
+                        audit_power_valid);
   }
 };
 
@@ -110,7 +116,9 @@ struct EpochReport {
 ///      links, added edges re-root the detached component by reversing the
 ///      parent chain (one store.flip per hop); links incident to moved
 ///      nodes refresh their length column;
-///   3. a LinkView snapshot is built (dense order = increasing link id) and
+///   3. a LinkView snapshot is built (dense order = increasing link id); the
+///      link ids the store's listener hooks queued in step 2 are applied to
+///      the conflict index in one sync (the conflict_maintain stage), and
 ///      links are classified dirty iff their store generation advanced
 ///      since the last plan;
 ///   4. conflict rows are queried for ONLY the dirty links (bucket-grid
@@ -139,9 +147,9 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// Coincident initial points throw std::invalid_argument.
   DynamicPlanner(const geom::Pointset& initial, DynamicOptions options);
 
-  // The planner registers itself as the store's mutation listener (the
-  // conflict index rides the mutation path); moving it would leave the
-  // store pointing at the old address.
+  // The planner registers itself as the store's mutation listener (its
+  // hooks queue links for the conflict index sync); moving it would leave
+  // the store pointing at the old address.
   DynamicPlanner(const DynamicPlanner&) = delete;
   DynamicPlanner& operator=(const DynamicPlanner&) = delete;
   DynamicPlanner(DynamicPlanner&&) = delete;
@@ -183,9 +191,10 @@ class DynamicPlanner : private geom::LinkStoreListener {
     return store_;
   }
 
-  /// The persistent conflict index maintained over the store's mutation
-  /// stream (the planner is the store's listener). Always mirrors the live
-  /// link set; epochs query dirty rows against it with zero rebuild.
+  /// The persistent conflict index, synced to the store's live link set
+  /// once per epoch, before any query; after every successful apply() it
+  /// mirrors snapshot().links. Epochs query dirty rows against it with zero
+  /// rebuild.
   [[nodiscard]] const conflict::ConflictIndex& conflict_index()
       const noexcept {
     return conflict_index_;
@@ -204,24 +213,22 @@ class DynamicPlanner : private geom::LinkStoreListener {
   };
   [[nodiscard]] const Snapshot& snapshot() const noexcept { return current_; }
 
-  /// kGlobal only: the per-slot Perron power vectors of the current
-  /// schedule (aligned with snapshot().schedule.slots), materialized on
-  /// demand from the certificates the plan carries: a slot whose membership
-  /// changed this epoch has the vector of its last accepted check (the
-  /// exact power_control_feasible result on its final members), a carried
-  /// slot keeps its members' previous entries, and a slot verification
-  /// rejected (repair disabled) gets a zero "infeasible-slot" vector. No
-  /// slot is solved again. The copy lands in last_report()'s power stage.
-  /// Throws std::logic_error for fixed-power modes (their assignment is
-  /// sinr::*_power, not per-slot).
-  [[nodiscard]] const std::vector<sinr::PowerAssignment>& slot_powers();
+  /// The transmit power of every link of the current plan, aligned with
+  /// snapshot().links; each link sends in exactly one slot, so one vector
+  /// serves the whole schedule. Under kGlobal a link's entry is the log2
+  /// Perron power its slot's last accepted check certified: a slot whose
+  /// membership changed this epoch has the exact power_control_feasible
+  /// vector of its final members, a carried slot keeps its members'
+  /// previous entries, and a slot verification rejected (repair off) reads
+  /// 0. Fixed-power modes return core::power_for_mode.
+  /// Solves nothing and costs O(n).
+  [[nodiscard]] sinr::PowerAssignment power() const;
 
  private:
   static constexpr NodeId kNoParent = -2;  ///< broken / dead / unset
 
   // ---- geom::LinkStoreListener (the store -> conflict-index bridge):
-  // every store mutation lands in the index with positions resolved through
-  // the maintained MST, so the index never needs a per-epoch rebuild. ----
+  // every hook but on_flip queues its link id for sync_conflict_index. ----
   void on_add(geom::LinkId id) override;
   void on_remove(geom::LinkId id) override;
   void on_flip(geom::LinkId id) override;
@@ -233,6 +240,11 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// them.
   void replan(const std::vector<NodeId>& touched, EpochReport& report);
   void run_audit(EpochReport& report);
+  /// Applies the queued link ids to the conflict index, in order, with
+  /// positions resolved through the maintained MST: a live link is added or
+  /// updated, a dead one the index holds is removed, anything else skipped.
+  /// After reconcile_full it re-seeds the index from the store instead.
+  void sync_conflict_index();
 
   /// Grows the id-indexed node arrays to cover `id`.
   void ensure_node(NodeId id);
@@ -251,7 +263,7 @@ class DynamicPlanner : private geom::LinkStoreListener {
   void rehang(NodeId child, NodeId parent);
   /// True iff the parent chain from `node` currently reaches the sink.
   [[nodiscard]] bool reaches_sink(NodeId node) const;
-  /// Drops all carried plan state (slot seeds, caches) and forces the next
+  /// Drops all carried plan state (slot seeds and counts) and forces the next
   /// epoch through reconcile_full + full replan.
   void invalidate_carried_state();
   /// Pushes the finished epoch into the global obs::Registry: report
@@ -267,8 +279,13 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// child -> parent).
   geom::LinkStore store_;
   /// Persistent per-length-class conflict grids over the live links,
-  /// maintained through the store's listener hooks.
+  /// synced once per epoch from the queue below.
   conflict::ConflictIndex conflict_index_;
+  /// Link ids the store's listener hooks named since the last sync (repeats
+  /// kept: the sync's work is proportional to the queue).
+  std::vector<geom::LinkId> index_queue_;
+  /// Set by reconcile_full: the next sync re-seeds the index from the store.
+  bool reseed_index_ = false;
   // ---- id-space orientation state, indexed by NodeId ----
   std::vector<NodeId> parent_;          ///< kNoParent dead/broken; -1 sink
   std::vector<geom::LinkId> uplink_;    ///< node's upward link, kNoLink none
@@ -294,8 +311,6 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// certificate (verification rejected it). Written only when a plan is
   /// persisted, so a failed epoch leaves the previous plan's entries.
   std::vector<double> log2_power_of_;
-  std::vector<sinr::PowerAssignment> slot_powers_;
-  bool slot_powers_current_ = false;
 
   Snapshot current_;
   EpochReport report_;

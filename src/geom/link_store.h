@@ -11,9 +11,10 @@
 
 namespace wagg::geom {
 
-/// Observer of LinkStore mutations. Derived-data maintainers (e.g. the
-/// persistent conflict::ConflictIndex) attach one so every store mutation
-/// keeps them in sync without the mutating code knowing they exist.
+/// Observer of LinkStore mutations. Derived-data maintainers (e.g.
+/// DynamicPlanner, which queues the named links for its conflict::
+/// ConflictIndex sync) attach one to learn of every store mutation without
+/// the mutating code knowing they exist.
 ///
 /// Callbacks fire AFTER the store has updated its own state, exactly once
 /// per effective mutation:

@@ -65,19 +65,11 @@ void execute_session_request(const PlanRequest& request,
   options.audit = request.audit;
   dynamic::DynamicPlanner planner(request.points, options);
 
-  // Serving sessions ship the actual transmit powers every epoch; the
-  // planner reads them from its slot certificates, solving nothing again.
-  const bool materialize_powers =
-      request.config.power_mode == core::PowerMode::kGlobal;
-  if (materialize_powers) (void)planner.slot_powers();
-
   std::vector<dynamic::EpochReport> reports;
   reports.reserve(request.trace.size() + 1);
   reports.push_back(planner.last_report());
   for (const auto& epoch_mutations : request.trace) {
-    (void)planner.apply(epoch_mutations);
-    if (materialize_powers) (void)planner.slot_powers();
-    reports.push_back(planner.last_report());
+    reports.push_back(planner.apply(epoch_mutations));
   }
 
   outcome.ok = true;

@@ -634,30 +634,7 @@ TEST(ConflictIndex, SpecChangeFlushesCachedRows) {
   EXPECT_EQ(stats.row_cache_misses, 2 * links.size());
 }
 
-/// A tiny entry cap forces LRU sweeps mid-run; evicted rows recompute on
-/// the next query, so answers stay exact. Cap 0 disables caching entirely.
-TEST(ConflictIndex, EvictionCapKeepsRowsExactAndCapZeroDisables) {
-  const auto tree = mst::mst_tree(instance::uniform_square(40, 4.0, 23), 0);
-  const auto& links = tree.links;
-  auto index = index_of(links);
-  const auto spec = ConflictSpec::constant(2.0);
-  std::vector<std::size_t> all(links.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-
-  const auto scratch = conflict_neighbors_bucketed(links, spec, all);
-  index.set_row_cache_entry_cap(8);  // far below the total row mass
-  for (int pass = 0; pass < 3; ++pass) {
-    EXPECT_EQ(index.neighbors(links, spec, all), scratch) << pass;
-  }
-  EXPECT_GT(index.stats().row_cache_evictions, 0u);
-
-  index.set_row_cache_entry_cap(0);
-  EXPECT_EQ(index.rows_cached(), 0u);
-  EXPECT_EQ(index.neighbors(links, spec, all), scratch);
-  EXPECT_EQ(index.rows_cached(), 0u);  // cap 0: nothing materializes
-}
-
-/// clear() (the reconcile_full path) must drop every cached row: a re-seed
+/// clear() (the planner's re-seed) must drop every cached row: a re-seed
 /// with different geometry under the same ids would otherwise serve stale
 /// rows from before the wipe.
 TEST(ConflictIndex, ClearDropsCachedRowsBeforeReseed) {

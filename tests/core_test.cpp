@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/baseline.h"
 #include "core/planner.h"
 #include "instance/basic.h"
 #include "schedule/simulator.h"
+#include "sinr/feasibility.h"
 
 namespace wagg::core {
 namespace {
@@ -77,12 +80,34 @@ INSTANTIATE_TEST_SUITE_P(Modes, PlanAllModes,
                                            PowerMode::kOblivious,
                                            PowerMode::kGlobal));
 
-TEST(Plan, GlobalModeStoresSlotPowers) {
+/// Global power ships one certified power per link: every verified slot
+/// satisfies the SINR inequalities under scheduling.power, and the members
+/// of a slot verification rejected (repair off) read 0.
+TEST(Plan, GlobalModePowerCertifiesSlotsAndRejectedSlotsReadZero) {
   const auto pts = instance::uniform_square(50, 6.0, 7);
-  const auto plan = plan_aggregation(pts, config_for(PowerMode::kGlobal));
-  EXPECT_EQ(plan.slot_powers.size(), plan.schedule().length());
-  for (const auto& p : plan.slot_powers) {
-    EXPECT_EQ(p.size(), plan.tree.links.size());
+  auto cfg = config_for(PowerMode::kGlobal);
+  const auto plan = plan_aggregation(pts, cfg);
+  ASSERT_TRUE(plan.verified());
+  ASSERT_EQ(plan.scheduling.power.size(), plan.tree.links.size());
+  for (const auto& slot : plan.schedule().slots) {
+    EXPECT_TRUE(sinr::is_feasible(plan.tree.links, slot, cfg.sinr,
+                                  plan.scheduling.power, 1e-6));
+  }
+
+  cfg.repair = false;
+  cfg.gamma = 0.5;
+  const auto unrepaired = plan_aggregation(pts, cfg);
+  const auto& rejected = unrepaired.scheduling.verification.infeasible_slots;
+  ASSERT_FALSE(rejected.empty());
+  const auto& power = unrepaired.scheduling.power;
+  for (std::size_t s = 0; s < unrepaired.schedule().length(); ++s) {
+    const auto& slot = unrepaired.schedule().slots[s];
+    if (std::binary_search(rejected.begin(), rejected.end(), s)) {
+      for (const auto i : slot) EXPECT_EQ(power.log2_power(i), 0.0);
+    } else {
+      EXPECT_TRUE(sinr::is_feasible(unrepaired.tree.links, slot, cfg.sinr,
+                                    power, 1e-6));
+    }
   }
 }
 

@@ -204,7 +204,7 @@ TEST(DynamicPlanner, ViewDeterminismSameHistorySamePlan) {
   EXPECT_DOUBLE_EQ(a.rate, b.rate);
 }
 
-TEST(DynamicPlanner, SlotPowersCertifySlotsAndCarryUnchangedOnes) {
+TEST(DynamicPlanner, PowerCertifiesSlotsAndCarriesUnchangedOnes) {
   const auto points = workload::make_family("uniform", 96, 7);
   dynamic::ChurnParams params;
   params.epochs = 6;
@@ -223,25 +223,25 @@ TEST(DynamicPlanner, SlotPowersCertifySlotsAndCarryUnchangedOnes) {
   std::size_t carried = 0;
   std::size_t fresh = 0;
   const auto check_powers = [&]() {
-    const auto& powers = planner.slot_powers();
+    const auto power = planner.power();
     const auto& snapshot = planner.snapshot();
     const auto& store = planner.link_store();
     const bool full = planner.last_report().full_replan;
-    ASSERT_EQ(powers.size(), snapshot.schedule.slots.size());
+    ASSERT_EQ(power.size(), snapshot.links.size());
     std::map<Members, std::map<geom::LinkId, double>> current;
-    for (std::size_t s = 0; s < powers.size(); ++s) {
+    for (std::size_t s = 0; s < snapshot.schedule.slots.size(); ++s) {
       const auto& slot = snapshot.schedule.slots[s];
-      // Each Perron vector must satisfy the exact SINR inequalities on its
+      // The shipped powers must satisfy the exact SINR inequalities on every
       // slot — the certificate a radio deployment would ship.
       EXPECT_TRUE(sinr::is_feasible(snapshot.links, slot, options.config.sinr,
-                                    powers[s], 1e-6))
+                                    power, 1e-6))
           << "slot " << s;
       Members members;
       for (const auto i : slot) members.push_back(snapshot.links.id_of(i));
       std::sort(members.begin(), members.end());
       auto& entries = current[members];
       for (const auto i : slot) {
-        entries[snapshot.links.id_of(i)] = powers[s].log2_power(i);
+        entries[snapshot.links.id_of(i)] = power.log2_power(i);
       }
       const auto before = previous.find(members);
       const bool unchanged =
@@ -262,7 +262,7 @@ TEST(DynamicPlanner, SlotPowersCertifySlotsAndCarryUnchangedOnes) {
                                                    options.config.sinr);
       ASSERT_TRUE(pc.feasible) << "slot " << s;
       for (std::size_t a = 0; a < slot.size(); ++a) {
-        EXPECT_EQ(powers[s].log2_power(slot[a]), pc.log2_power[a])
+        EXPECT_EQ(power.log2_power(slot[a]), pc.log2_power[a])
             << "slot " << s;
       }
       ++fresh;
@@ -280,12 +280,12 @@ TEST(DynamicPlanner, SlotPowersCertifySlotsAndCarryUnchangedOnes) {
   EXPECT_GT(carried, 0u);
   EXPECT_GT(fresh, 0u);
 
-  // A second call in the same epoch recomputes nothing: same vectors, no
-  // power-stage time.
-  const auto* first = &planner.slot_powers();
-  const double power_ms = planner.last_report().times[core::Stage::kPower];
-  EXPECT_EQ(&planner.slot_powers(), first);
-  EXPECT_EQ(planner.last_report().times[core::Stage::kPower], power_ms);
+  // power() is a pure read: the finished epoch's report stays as apply()
+  // returned it, and a second call gives the same bits.
+  const auto times = planner.last_report().times.ms;
+  const auto first = planner.power().log2_powers();
+  EXPECT_EQ(planner.last_report().times.ms, times);
+  EXPECT_EQ(planner.power().log2_powers(), first);
 
   // A rejected mutation leaves the plan, and its certificates, on the
   // previous epoch; the full replan that recovers rewrites every entry.
@@ -304,12 +304,28 @@ TEST(DynamicPlanner, SlotPowersCertifySlotsAndCarryUnchangedOnes) {
   check_powers();
 }
 
-TEST(DynamicPlanner, SlotPowersRejectFixedPowerModes) {
+TEST(DynamicPlanner, PowerEqualsPowerForModeInFixedModes) {
   const auto points = workload::make_family("uniform", 24, 2);
-  dynamic::DynamicOptions options;
-  options.config = workload::mode_config(core::PowerMode::kUniform);
-  dynamic::DynamicPlanner planner(points, options);
-  EXPECT_THROW((void)planner.slot_powers(), std::logic_error);
+  dynamic::ChurnParams params;
+  params.epochs = 2;
+  params.rate = 0.1;
+  for (const auto mode : {core::PowerMode::kUniform, core::PowerMode::kLinear,
+                          core::PowerMode::kOblivious}) {
+    dynamic::DynamicOptions options;
+    options.config = workload::mode_config(mode);
+    dynamic::DynamicPlanner planner(points, options);
+    const auto check = [&]() {
+      EXPECT_EQ(planner.power().log2_powers(),
+                core::power_for_mode(planner.snapshot().links, options.config)
+                    .log2_powers())
+          << core::to_string(mode);
+    };
+    check();
+    for (const auto& epoch : dynamic::make_churn_trace(points, params, 5)) {
+      (void)planner.apply(epoch);
+      check();
+    }
+  }
 }
 
 TEST(ChurnTrace, HotspotConcentratesArrivals) {

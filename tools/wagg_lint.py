@@ -46,10 +46,8 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 histograms and span trees cannot disagree. Clock reads
                 (util::Clock::now, util::ms_since, raw steady or
                 high-resolution clocks) are rejected in src/ except in obs/
-                and util/ (the clock itself), runtime/ (request and mailbox
-                wall clocks, which are not stages) and conflict/
-                (ConflictIndex's own maintain timer, which the planner
-                carves out of orient into conflict_maintain).
+                and util/ (the clock itself) and runtime/ (request and
+                mailbox wall clocks, which are not stages).
 
   raw-thread    std::thread, std::jthread and std::async are rejected in
                 src/ outside util/parallel.* (the process-wide helper pool
@@ -227,7 +225,7 @@ CLASS_GRID_INCLUDE_RE = re.compile(
 STAGE_CLOCK_RE = re.compile(
     r"\b(?:Clock::now|ms_since|steady_clock|high_resolution_clock)\b")
 # Directories (under src/) that may read the clock directly.
-STAGE_CLOCK_DIRS = ("obs/", "util/", "runtime/", "conflict/")
+STAGE_CLOCK_DIRS = ("obs/", "util/", "runtime/")
 RAW_THREAD_RE = re.compile(
     r"\bstd::(?:j?thread\b(?!\s*::\s*hardware_concurrency)|async\b)")
 # Files (under src/, without extension) that own the library's threads.
@@ -292,7 +290,7 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                        "conflict_neighbors_bucketed")
         if not may_read_clock and STAGE_CLOCK_RE.search(line):
             report(idx, "stage-clock",
-                   "clock read outside obs/util/runtime/conflict: time a "
+                   "clock read outside obs/util/runtime: time a "
                    "planner stage with obs::StageSpan on a "
                    "core::StageTimes slot")
         if not owns_threads and RAW_THREAD_RE.search(line):
