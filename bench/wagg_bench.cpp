@@ -892,8 +892,12 @@ int run_offline_profile(const std::string& trace_path,
 
 int main(int argc, char** argv) {
   using namespace wagg;
-  const util::Args args(argc, argv);
   try {
+    const util::Args args(
+        argc, argv,
+        {"compare", "profile", "portable-only", "min-rel", "mad-mult",
+         "min-abs-ms", "top", "repeat", "warmup", "quick", "out",
+         "profile-out", "label", "trace", "metrics-json"});
     // Mode flags take positional operands, which util::Args ignores — scan
     // argv directly for them.
     std::vector<std::string> positional;

@@ -9,6 +9,8 @@
 
 #include <cmath>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "core/planner.h"
@@ -17,11 +19,32 @@
 #include "util/logmath.h"
 #include "util/table.h"
 
+namespace {
+
+constexpr const char* kUsage =
+    "usage: capacity_explorer [--family=F] [--n=N] [--mode=M]\n"
+    "  [--alpha=A] [--beta=B] [--tau=T] [--gamma=G] [--seed=S]\n";
+
+/// The parsed flags, or nullopt after printing why they cannot be parsed.
+std::optional<wagg::util::Args> parse_args(int argc, char** argv) {
+  try {
+    return wagg::util::Args(argc, argv,
+                            {"help", "family", "n", "mode", "alpha", "beta",
+                             "tau", "gamma", "seed"});
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "capacity_explorer: " << e.what() << "\n" << kUsage;
+    return std::nullopt;
+  }
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const wagg::util::Args args(argc, argv);
+  const auto parsed = parse_args(argc, argv);
+  if (!parsed) return 2;
+  const wagg::util::Args& args = *parsed;
   if (args.has("help")) {
-    std::cout << "usage: capacity_explorer [--family=F] [--n=N] [--mode=M]\n"
-                 "  [--alpha=A] [--beta=B] [--tau=T] [--gamma=G] [--seed=S]\n";
+    std::cout << kUsage;
     return 0;
   }
   const std::string family = args.get("family", "uniform");

@@ -77,8 +77,10 @@ void print_stage_table(const wagg::runtime::BatchStats& stats) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const wagg::util::Args args(argc, argv);
   try {
+    const wagg::util::Args args(
+        argc, argv,
+        {"spec", "workers", "csv", "keep-failures", "trace", "metrics-json"});
     const std::string spec_text = args.has("spec")
                                       ? read_file(args.get("spec", ""))
                                       : std::string(kDemoSpec);

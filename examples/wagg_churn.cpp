@@ -37,8 +37,12 @@
 
 int main(int argc, char** argv) {
   using namespace wagg;
-  const util::Args args(argc, argv);
   try {
+    const util::Args args(
+        argc, argv,
+        {"family", "n", "epochs", "rate", "seed", "grow", "shrink", "hotspot",
+         "hradius", "speed", "drift", "mode", "audit", "full-frac", "trace",
+         "metrics-json", "csv"});
     const std::string family = args.get("family", "uniform");
     const auto n = static_cast<std::size_t>(args.get_int("n", 256));
     const auto epochs = static_cast<std::size_t>(args.get_int("epochs", 20));

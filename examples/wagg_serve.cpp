@@ -245,8 +245,12 @@ PointResult run_point(const PointConfig& cfg, std::size_t sessions,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Args args(argc, argv);
   try {
+    const util::Args args(
+        argc, argv,
+        {"smoke", "family", "n", "mode", "epochs", "rate", "seed", "workers",
+         "mailbox", "slo-ms", "digest-check", "sessions", "rates",
+         "metrics-json", "csv"});
     const bool smoke = args.has("smoke");
 
     PointConfig cfg;

@@ -81,26 +81,6 @@ void DynamicOptions::validate() const {
   }
 }
 
-void DynamicPlanner::on_add(geom::LinkId id) { index_queue_.push_back(id); }
-
-void DynamicPlanner::on_remove(geom::LinkId id) { index_queue_.push_back(id); }
-
-void DynamicPlanner::on_flip(geom::LinkId id) {
-  // An orientation flip leaves the undirected endpoint pair — the conflict
-  // metric's only input — untouched; the index needs no update.
-  (void)id;
-}
-
-void DynamicPlanner::on_set_length(geom::LinkId id) {
-  index_queue_.push_back(id);
-}
-
-void DynamicPlanner::on_touch(geom::LinkId id) {
-  // touch marks geometry context changes; the endpoints may have moved even
-  // when the cached length survived, so the index cells need a refresh.
-  index_queue_.push_back(id);
-}
-
 void DynamicPlanner::sync_conflict_index() {
   // A live link enters the index, or is refreshed there, from the store's
   // current endpoints and length.
@@ -117,30 +97,30 @@ void DynamicPlanner::sync_conflict_index() {
     // reconcile_full's request: rebuild from the store. A reconcile can
     // follow a FAILED epoch whose touched-node list died with the exception
     // frame — a node may have moved while its uplink length stayed
-    // bit-identical, so no event named the link and the index would keep the
-    // endpoint's OLD position (wrong grid cell, wrong distance prune). The
+    // bit-identical, so no log entry named the link and the index would keep
+    // the endpoint's OLD position (wrong grid cell, wrong distance prune). The
     // reconcile is already O(n), so the rebuild is asymptotically free.
-    index_queue_.clear();
     conflict_index_.clear();
     for (const auto link : store_.live_ids()) put(link);
     reseed_index_ = false;
     return;
   }
-  for (const auto link : index_queue_) {
+  for (const auto link : store_.changed()) {
+    // A flip leaves the undirected endpoint pair — the conflict metric's
+    // only input — untouched; the index needs no update.
+    if (!(store_.change(link) & geom::LinkStore::kGeometry)) continue;
     if (store_.alive(link)) {
       put(link);
     } else if (conflict_index_.contains(link)) {
       conflict_index_.remove(link);
     }
   }
-  index_queue_.clear();
 }
 
 DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
                                DynamicOptions options)
     : options_(std::move(options)), mst_(geom::Pointset{}) {
   options_.validate();
-  store_.set_listener(this);
   if (initial.size() < 2) {
     throw std::invalid_argument("DynamicPlanner: need >= 2 initial points");
   }
@@ -332,17 +312,6 @@ void DynamicPlanner::rehang(NodeId child, NodeId parent) {
 }
 
 void DynamicPlanner::apply_structural_diff(const mst::MstDelta& delta) {
-  const auto& final_edges = mst_.edges();  // sorted by (a, b), a < b
-  const auto in_tree = [&](NodeId a, NodeId b) {
-    const mst::IdEdge probe = a < b ? mst::IdEdge{a, b} : mst::IdEdge{b, a};
-    return std::binary_search(
-        final_edges.begin(), final_edges.end(), probe,
-        [](const mst::IdEdge& x, const mst::IdEdge& y) {
-          if (x.a != y.a) return x.a < y.a;
-          return x.b < y.b;
-        });
-  };
-
   // The journal over-approximates: an edge removed and re-added within the
   // epoch nets out. Filter to the exact diff against the store (which still
   // mirrors the pre-epoch tree), deduplicating repeats.
@@ -350,7 +319,7 @@ void DynamicPlanner::apply_structural_diff(const mst::MstDelta& delta) {
   std::vector<std::uint64_t> seen;
   for (const auto& e : delta.removed) {
     if (store_.find_pair(e.a, e.b) == geom::kNoLink) continue;
-    if (in_tree(e.a, e.b)) continue;
+    if (mst_.has_edge(e.a, e.b)) continue;
     const auto key = geom::LinkStore::pair_key(e.a, e.b);
     if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
     seen.push_back(key);
@@ -359,7 +328,7 @@ void DynamicPlanner::apply_structural_diff(const mst::MstDelta& delta) {
   std::vector<std::pair<NodeId, NodeId>> pending;
   seen.clear();
   for (const auto& e : delta.added) {
-    if (!in_tree(e.a, e.b)) continue;
+    if (!mst_.has_edge(e.a, e.b)) continue;
     if (store_.find_pair(e.a, e.b) != geom::kNoLink) continue;
     const auto key = geom::LinkStore::pair_key(e.a, e.b);
     if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
@@ -431,8 +400,8 @@ void DynamicPlanner::reconcile_full() {
   // From-scratch orientation in id-space (BFS from the sink), reconciled
   // against the store so surviving pairs keep their stable ids: stale links
   // are dropped, mis-directed ones flipped in place, missing ones added,
-  // and every length refreshed (bit-identical values do not bump
-  // generations, so clean links stay clean).
+  // and every length refreshed (bit-identical values are not logged, so
+  // clean links stay clean).
   const auto ids = mst_.alive_ids();
   if (!ids.empty()) ensure_node(ids.back());
   for (const auto id : ids) {
@@ -487,7 +456,7 @@ void DynamicPlanner::reconcile_full() {
   }
 
   // The conflict index is re-seeded from the reconciled store, not from the
-  // events queued above (see sync_conflict_index).
+  // changes logged above (see sync_conflict_index).
   reseed_index_ = true;
 }
 
@@ -501,8 +470,8 @@ void DynamicPlanner::refresh_touched(const std::vector<NodeId>& touched) {
       store_.set_length(
           link, geom::distance(mst_.position(child), mst_.position(up)));
       // The length alone cannot express a moved endpoint (SINR distances to
-      // every other link shifted even when the length survived), so bump
-      // the generation unconditionally.
+      // every other link shifted even when the length survived), so log a
+      // geometry change unconditionally.
       store_.touch(link);
     }
   }
@@ -513,8 +482,9 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   const auto& config = options_.config;
 
   // ---- bring the id-space store in line with the maintained tree; its
-  // listener hooks queue the changed link ids for the index sync below ----
+  // change log then names exactly the links this epoch changed ----
   obs::StageSpan stage(report.times.slot(Stage::kOrient));
+  store_.clear_changes();
   const auto delta = mst_.take_delta();
   {
     auto& metrics = planner_metrics();
@@ -546,13 +516,13 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   geom::LinkSet links(store_.snapshot(points, node_index));
   const std::size_t n = links.size();
 
-  // ---- conflict upkeep: apply the queued store changes to the index.
+  // ---- conflict upkeep: apply the logged store changes to the index.
   // Nothing has queried the index this epoch yet. ----
   stage.next(report.times.slot(Stage::kConflictMaintain));
   sync_conflict_index();
   stage.next(report.times.slot(Stage::kDirtyDetect));
 
-  // ---- dirty detection via generation counters (no conflict graph
+  // ---- dirty detection via the change log (no conflict graph
   // needed: the pairwise conflict relation of two geometrically unchanged
   // links cannot change). Clean links seed the coloring with their previous
   // final slot (final slots are independent sets, so the seed is proper);
@@ -569,7 +539,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<std::size_t>(links.id_of(i));
     if (noise_coupled || slot_of_[id] < 0 ||
-        store_.generation(links.id_of(i)) > plan_clock_) {
+        store_.change(links.id_of(i)) != 0) {
       ++dirty_count;
     } else {
       seed[i] = slot_of_[id];
@@ -720,7 +690,6 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
       log2_power_of_[static_cast<std::size_t>(links.id_of(i))] = p;
     }
   }
-  plan_clock_ = store_.clock();
   current_.points = std::move(points);
   current_.ids = std::move(ids);
   current_.sink = sink_idx;

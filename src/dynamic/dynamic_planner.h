@@ -103,8 +103,8 @@ struct EpochReport {
 /// The cross-epoch source of truth is a geom::LinkStore in id-space: links
 /// carry stable 64-bit ids that survive node insertion/removal/movement,
 /// tree re-orientations are applied as in-place flips along the rehung
-/// chains (no container rebuild), and per-field generation counters mark
-/// exactly which links changed. Dense-index pipeline stages (conflict rows,
+/// chains (no container rebuild), and the store's change log names exactly
+/// which links changed this epoch. Dense-index pipeline stages (conflict rows,
 /// coloring, repair, verification) run on a geom::LinkView snapshot built
 /// once per epoch from only the live set — no per-epoch LinkSet
 /// reconstruction, no length recomputation, no key remapping.
@@ -112,15 +112,16 @@ struct EpochReport {
 /// Epoch pipeline:
 ///   1. mutations -> IncrementalMst (localized tree updates, exact), which
 ///      journals the edge diff;
-///   2. the diff is replayed onto the LinkStore: removed edges drop their
-///      links, added edges re-root the detached component by reversing the
-///      parent chain (one store.flip per hop); links incident to moved
-///      nodes refresh their length column;
+///   2. the store's change log is cleared, then the diff is replayed onto
+///      the LinkStore: removed edges drop their links, added edges re-root
+///      the detached component by reversing the parent chain (one
+///      store.flip per hop); links incident to moved nodes refresh their
+///      length column and are touched;
 ///   3. a LinkView snapshot is built (dense order = increasing link id); the
-///      link ids the store's listener hooks queued in step 2 are applied to
-///      the conflict index in one sync (the conflict_maintain stage), and
-///      links are classified dirty iff their store generation advanced
-///      since the last plan;
+///      logged links with a geometry change are applied to the conflict
+///      index in one sync (the conflict_maintain stage), and links are
+///      classified dirty iff step 2 logged them (or they have no slot
+///      yet);
 ///   4. conflict rows are queried for ONLY the dirty links (bucket-grid
 ///      subset queries) and first-fit recolored, seeding every surviving
 ///      link with its previous final slot (read from an id-indexed array);
@@ -140,20 +141,12 @@ struct EpochReport {
 ///
 /// Not thread-safe; one session per thread (runtime::PlanService sessions
 /// wrap instances for service use).
-class DynamicPlanner : private geom::LinkStoreListener {
+class DynamicPlanner {
  public:
   /// Plans the initial epoch (a full replan). The pointset's indices become
   /// stable node ids 0..n-1; options.config.sink names the sink node.
   /// Coincident initial points throw std::invalid_argument.
   DynamicPlanner(const geom::Pointset& initial, DynamicOptions options);
-
-  // The planner registers itself as the store's mutation listener (its
-  // hooks queue links for the conflict index sync); moving it would leave
-  // the store pointing at the old address.
-  DynamicPlanner(const DynamicPlanner&) = delete;
-  DynamicPlanner& operator=(const DynamicPlanner&) = delete;
-  DynamicPlanner(DynamicPlanner&&) = delete;
-  DynamicPlanner& operator=(DynamicPlanner&&) = delete;
 
   /// Applies one epoch: all mutations, then one incremental replan.
   /// Mutations referencing dead nodes, removing the sink, shrinking the
@@ -184,9 +177,10 @@ class DynamicPlanner : private geom::LinkStoreListener {
     return options_;
   }
 
-  /// Read access to the id-space link store (stable link ids, generation
-  /// counters). Links reference stable node ids; snapshot().links holds the
-  /// dense per-epoch view of the same data.
+  /// Read access to the id-space link store (stable link ids). Links
+  /// reference stable node ids; snapshot().links holds the dense per-epoch
+  /// view of the same data. After a successful apply(), its changed() log
+  /// names exactly the links that epoch changed (dead ones included).
   [[nodiscard]] const geom::LinkStore& link_store() const noexcept {
     return store_;
   }
@@ -227,23 +221,16 @@ class DynamicPlanner : private geom::LinkStoreListener {
  private:
   static constexpr NodeId kNoParent = -2;  ///< broken / dead / unset
 
-  // ---- geom::LinkStoreListener (the store -> conflict-index bridge):
-  // every hook but on_flip queues its link id for sync_conflict_index. ----
-  void on_add(geom::LinkId id) override;
-  void on_remove(geom::LinkId id) override;
-  void on_flip(geom::LinkId id) override;
-  void on_set_length(geom::LinkId id) override;
-  void on_touch(geom::LinkId id) override;
-
   /// Replans after the MST is up to date. `touched` holds the node ids
   /// added or moved this epoch; geometry-dirty links are those incident to
   /// them.
   void replan(const std::vector<NodeId>& touched, EpochReport& report);
   void run_audit(EpochReport& report);
-  /// Applies the queued link ids to the conflict index, in order, with
-  /// positions resolved through the maintained MST: a live link is added or
-  /// updated, a dead one the index holds is removed, anything else skipped.
-  /// After reconcile_full it re-seeds the index from the store instead.
+  /// Applies the store's logged geometry changes to the conflict index, in
+  /// log order, with positions resolved through the maintained MST: a live
+  /// link is added or updated, a dead one the index holds is removed, and
+  /// flip-only entries are skipped. After reconcile_full it re-seeds the
+  /// index from the store instead.
   void sync_conflict_index();
 
   /// Grows the id-indexed node arrays to cover `id`.
@@ -279,11 +266,8 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// child -> parent).
   geom::LinkStore store_;
   /// Persistent per-length-class conflict grids over the live links,
-  /// synced once per epoch from the queue below.
+  /// synced once per epoch from the store's change log.
   conflict::ConflictIndex conflict_index_;
-  /// Link ids the store's listener hooks named since the last sync (repeats
-  /// kept: the sync's work is proportional to the queue).
-  std::vector<geom::LinkId> index_queue_;
   /// Set by reconcile_full: the next sync re-seeds the index from the store.
   bool reseed_index_ = false;
   // ---- id-space orientation state, indexed by NodeId ----
@@ -299,9 +283,6 @@ class DynamicPlanner : private geom::LinkStoreListener {
   /// Member count per previous final slot (including links that died
   /// since) — membership-unchanged certification needs exact counts.
   std::vector<std::size_t> prev_slot_count_;
-  /// Store clock at the end of the last successful replan; links whose
-  /// generation exceeds it are dirty.
-  std::uint64_t plan_clock_ = 0;
   /// Set after construction, bulk rebuilds, or failed epochs: the next
   /// replan must rebuild orientation from scratch.
   bool force_reconcile_ = true;

@@ -37,12 +37,10 @@ LinkId LinkStore::add(std::int32_t sender, std::int32_t receiver,
   sender_.push_back(sender);
   receiver_.push_back(receiver);
   length_.push_back(length);
-  ++clock_;
-  endpoint_gen_.push_back(clock_);
-  length_gen_.push_back(clock_);
   alive_.push_back(true);
+  change_.push_back(0);
   ++num_live_;
-  if (listener_) listener_->on_add(id);
+  log_change(static_cast<std::size_t>(id), kGeometry | kOrientation);
   return id;
 }
 
@@ -51,15 +49,13 @@ void LinkStore::remove(LinkId id) {
   pair_index_.erase(pair_key(sender_[slot], receiver_[slot]));
   alive_[slot] = false;
   --num_live_;
-  ++clock_;
-  if (listener_) listener_->on_remove(id);
+  log_change(slot, kGeometry);
 }
 
 void LinkStore::flip(LinkId id) {
   const auto slot = checked(id);
   std::swap(sender_[slot], receiver_[slot]);
-  endpoint_gen_[slot] = ++clock_;
-  if (listener_) listener_->on_flip(id);
+  log_change(slot, kOrientation);
 }
 
 void LinkStore::set_length(LinkId id, double length) {
@@ -69,27 +65,19 @@ void LinkStore::set_length(LinkId id, double length) {
   }
   if (length_[slot] == length) return;  // clean sweep must not dirty links
   length_[slot] = length;
-  length_gen_[slot] = ++clock_;
-  if (listener_) listener_->on_set_length(id);
+  log_change(slot, kGeometry);
 }
 
-void LinkStore::touch(LinkId id) {
-  const auto slot = checked(id);
-  length_gen_[slot] = ++clock_;
-  if (listener_) listener_->on_touch(id);
+void LinkStore::touch(LinkId id) { log_change(checked(id), kGeometry); }
+
+void LinkStore::log_change(std::size_t slot, std::uint8_t flags) {
+  if (change_[slot] == 0) changed_.push_back(static_cast<LinkId>(slot));
+  change_[slot] |= flags;
 }
 
-void LinkStore::clear() {
-  // Ids stay retired: columns keep their slots so future adds continue the
-  // id sequence and stale ids remain detectably dead.
-  for (std::size_t slot = 0; slot < alive_.size(); ++slot) {
-    if (!alive_[slot]) continue;
-    alive_[slot] = false;
-    if (listener_) listener_->on_remove(static_cast<LinkId>(slot));
-  }
-  pair_index_.clear();
-  num_live_ = 0;
-  ++clock_;
+void LinkStore::clear_changes() noexcept {
+  for (const auto id : changed_) change_[static_cast<std::size_t>(id)] = 0;
+  changed_.clear();
 }
 
 LinkId LinkStore::find_pair(std::int32_t a, std::int32_t b) const {

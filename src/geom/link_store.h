@@ -11,33 +11,6 @@
 
 namespace wagg::geom {
 
-/// Observer of LinkStore mutations. Derived-data maintainers (e.g.
-/// DynamicPlanner, which queues the named links for its conflict::
-/// ConflictIndex sync) attach one to learn of every store mutation without
-/// the mutating code knowing they exist.
-///
-/// Callbacks fire AFTER the store has updated its own state, exactly once
-/// per effective mutation:
-///   on_add         the id is live and its columns readable
-///   on_remove      the id is already dead — column accessors throw; read
-///                  what you need from your own mirror
-///   on_flip        sender/receiver swapped in place (the undirected
-///                  geometry is unchanged)
-///   on_set_length  the length column changed value (bit-identical
-///                  refreshes do not fire)
-///   on_touch       a geometry change the columns cannot express
-/// clear() fires on_remove for every live link. Listeners must not mutate
-/// the store from inside a callback.
-class LinkStoreListener {
- public:
-  virtual ~LinkStoreListener() = default;
-  virtual void on_add(LinkId id) = 0;
-  virtual void on_remove(LinkId id) = 0;
-  virtual void on_flip(LinkId id) = 0;
-  virtual void on_set_length(LinkId id) = 0;
-  virtual void on_touch(LinkId id) = 0;
-};
-
 /// The canonical mutation-aware link container: a column store over stable
 /// 64-bit link ids that survive node insertion/removal/movement.
 ///
@@ -51,12 +24,16 @@ class LinkStoreListener {
 ///               container rebuild
 ///   set_length  refreshes the cached length after an endpoint moved
 ///
-/// Every per-field column carries a generation counter (endpoint_gen for the
-/// sender/receiver pair, length_gen for the geometry), drawn from a single
-/// monotonically increasing clock shared by the whole store. Consumers
-/// record the clock after a read and later compare per-link generations
-/// against it to detect staleness per link — the basis of O(dirty) epoch
-/// work instead of assuming a fresh world.
+/// Every effective mutation lands in one change log: the ids changed since
+/// the last clear_changes(), each logged once, in first-change order, with
+/// one flag per kind of change:
+///
+///   kGeometry     add, remove, touch, and a value-changing set_length
+///   kOrientation  add and flip
+///
+/// The dynamic planner clears the log before each epoch's first store
+/// mutation; its conflict-index sync and its dirty scan both read it — the
+/// basis of O(dirty) epoch work instead of assuming a fresh world.
 ///
 /// Endpoints are stable NODE ids (e.g. mst::IncrementalMst ids), not dense
 /// point indices; the store never touches positions. A canonical-pair index
@@ -72,14 +49,13 @@ class LinkStore {
   /// Kills a live link. Throws std::invalid_argument on dead/unknown ids.
   void remove(LinkId id);
 
-  /// In-place orientation flip: swaps sender and receiver, bumps the
-  /// endpoint generation. The pair index is unaffected (pairs are
-  /// undirected).
+  /// In-place orientation flip: swaps sender and receiver and logs
+  /// kOrientation. The pair index is unaffected (pairs are undirected).
   void flip(LinkId id);
 
-  /// Refreshes the length column. A no-op (no generation bump) when the
-  /// value is unchanged bit-for-bit, so unconditional refresh sweeps do not
-  /// dirty clean links.
+  /// Refreshes the length column. A no-op (nothing logged) when the value
+  /// is unchanged bit-for-bit, so unconditional refresh sweeps do not dirty
+  /// clean links.
   void set_length(LinkId id, double length);
 
   /// Marks a link changed without altering any column — for geometry
@@ -87,10 +63,6 @@ class LinkStore {
   /// cached length happens to be identical: SINR distances to other links
   /// still shifted).
   void touch(LinkId id);
-
-  /// Drops every link and resets the pair index. Ids are still never
-  /// reused; the generation clock keeps advancing.
-  void clear();
 
   [[nodiscard]] bool alive(LinkId id) const noexcept {
     return id >= 0 && static_cast<std::size_t>(id) < alive_.size() &&
@@ -110,37 +82,24 @@ class LinkStore {
   }
   [[nodiscard]] double length(LinkId id) const { return length_[checked(id)]; }
 
-  /// Generation of the last sender/receiver change (add or flip).
-  [[nodiscard]] std::uint64_t endpoint_gen(LinkId id) const {
-    return endpoint_gen_[checked(id)];
-  }
-  /// Generation of the last geometry change (add, a value-changing
-  /// set_length, or touch — a moved endpoint is a geometry change even
-  /// when the cached length survives).
-  [[nodiscard]] std::uint64_t length_gen(LinkId id) const {
-    return length_gen_[checked(id)];
-  }
-  /// max(endpoint_gen, length_gen): the link changed after `mark` iff
-  /// generation(id) > mark.
-  [[nodiscard]] std::uint64_t generation(LinkId id) const {
-    const auto slot = checked(id);
-    return endpoint_gen_[slot] > length_gen_[slot] ? endpoint_gen_[slot]
-                                                   : length_gen_[slot];
-  }
+  /// Change-log flags (see the class comment).
+  static constexpr std::uint8_t kGeometry = 1;
+  static constexpr std::uint8_t kOrientation = 2;
 
-  /// The store-wide clock: strictly increases on every mutating call.
-  /// Record it after building a view; any link whose generation() exceeds
-  /// the recorded value changed since.
-  [[nodiscard]] std::uint64_t clock() const noexcept { return clock_; }
-
-  /// Attaches (or, with nullptr, detaches) the single mutation listener.
-  /// The listener must outlive the store or be detached first.
-  void set_listener(LinkStoreListener* listener) noexcept {
-    listener_ = listener;
+  /// The ids changed since the last clear_changes(), each once, in
+  /// first-change order. Dead ids stay in the log.
+  [[nodiscard]] std::span<const LinkId> changed() const noexcept {
+    return changed_;
   }
-  [[nodiscard]] LinkStoreListener* listener() const noexcept {
-    return listener_;
+  /// The id's change flags since the last clear_changes(); 0 when it is
+  /// unchanged or unknown. Dead ids are readable.
+  [[nodiscard]] std::uint8_t change(LinkId id) const noexcept {
+    return id >= 0 && static_cast<std::size_t>(id) < change_.size()
+               ? change_[static_cast<std::size_t>(id)]
+               : 0;
   }
+  /// Empties the log, resetting the flags of the logged ids only.
+  void clear_changes() noexcept;
 
   /// The live id of the undirected pair {a, b}, or kNoLink.
   [[nodiscard]] LinkId find_pair(std::int32_t a, std::int32_t b) const;
@@ -165,17 +124,16 @@ class LinkStore {
 
  private:
   [[nodiscard]] std::size_t checked(LinkId id) const;
+  void log_change(std::size_t slot, std::uint8_t flags);
 
   std::vector<std::int32_t> sender_;
   std::vector<std::int32_t> receiver_;
   std::vector<double> length_;
-  std::vector<std::uint64_t> endpoint_gen_;
-  std::vector<std::uint64_t> length_gen_;
   std::vector<bool> alive_;
+  std::vector<std::uint8_t> change_;  ///< per-id flags, 0 = unchanged
+  std::vector<LinkId> changed_;       ///< the log, first-change order
   std::unordered_map<std::uint64_t, LinkId> pair_index_;
   std::size_t num_live_ = 0;
-  std::uint64_t clock_ = 0;
-  LinkStoreListener* listener_ = nullptr;
 };
 
 }  // namespace wagg::geom

@@ -8,17 +8,6 @@
 
 namespace wagg::mst {
 
-namespace {
-
-void sort_by_pair(std::vector<IdEdge>& edges) {
-  std::sort(edges.begin(), edges.end(), [](const IdEdge& x, const IdEdge& y) {
-    if (x.a != y.a) return x.a < y.a;
-    return x.b < y.b;
-  });
-}
-
-}  // namespace
-
 IncrementalMst::IncrementalMst(const geom::Pointset& initial)
     : points_(initial), alive_(initial.size(), true),
       num_alive_(initial.size()), adj_(initial.size()),
@@ -74,21 +63,28 @@ double IncrementalMst::weight() const {
   return sum;
 }
 
-const std::vector<IdEdge>& IncrementalMst::edges() const {
-  if (edges_cache_stale_) {
-    edges_cache_.clear();
-    edges_cache_.reserve(num_alive_);
-    for (std::size_t id = 0; id < adj_.size(); ++id) {
-      for (const AdjEntry& e : adj_[id]) {
-        if (static_cast<NodeId>(id) < e.neighbor) {
-          edges_cache_.push_back(IdEdge{static_cast<NodeId>(id), e.neighbor});
-        }
+std::vector<IdEdge> IncrementalMst::edges() const {
+  std::vector<IdEdge> edges;
+  edges.reserve(num_alive_);
+  for (std::size_t id = 0; id < adj_.size(); ++id) {
+    for (const AdjEntry& e : adj_[id]) {
+      if (static_cast<NodeId>(id) < e.neighbor) {
+        edges.push_back(IdEdge{static_cast<NodeId>(id), e.neighbor});
       }
     }
-    sort_by_pair(edges_cache_);
-    edges_cache_stale_ = false;
   }
-  return edges_cache_;
+  std::sort(edges.begin(), edges.end(), [](const IdEdge& x, const IdEdge& y) {
+    if (x.a != y.a) return x.a < y.a;
+    return x.b < y.b;
+  });
+  return edges;
+}
+
+bool IncrementalMst::has_edge(NodeId a, NodeId b) const noexcept {
+  if (!alive(a) || !alive(b)) return false;
+  const auto& adj = adj_[static_cast<std::size_t>(a)];
+  return std::any_of(adj.begin(), adj.end(),
+                     [&](const AdjEntry& e) { return e.neighbor == b; });
 }
 
 std::vector<Edge> IncrementalMst::compact_edges() const {
@@ -98,9 +94,10 @@ std::vector<Edge> IncrementalMst::compact_edges() const {
   for (std::size_t id = 0; id < alive_.size(); ++id) {
     if (alive_[id]) index[id] = next++;
   }
+  const auto tree = edges();
   std::vector<Edge> result;
-  result.reserve(edges().size());
-  for (const auto& e : edges()) {
+  result.reserve(tree.size());
+  for (const auto& e : tree) {
     result.push_back(Edge{index[static_cast<std::size_t>(e.a)],
                           index[static_cast<std::size_t>(e.b)]});
   }
@@ -187,7 +184,6 @@ void IncrementalMst::seed_tree_from(const std::vector<Edge>& compact,
     const NodeId b = ids[static_cast<std::size_t>(e.v)];
     add_tree_edge(a < b ? a : b, a < b ? b : a, squared_weight(a, b));
   }
-  edges_cache_stale_ = true;
 }
 
 NodeId IncrementalMst::add_point(const geom::Point& position) {
@@ -275,13 +271,11 @@ void IncrementalMst::rebuild() {
     seed_tree_from(euclidean_mst(compact), ids);
   }
   rebuild_grid();
-  edges_cache_stale_ = true;
   delta_ = MstDelta{};
   delta_.rebuilt = true;
 }
 
 void IncrementalMst::attach(NodeId id) {
-  edges_cache_stale_ = true;
   if (num_alive_ < 2) return;
 
   // Cycle property: every old non-tree edge stays non-tree after inserting
@@ -341,7 +335,6 @@ void IncrementalMst::attach(NodeId id) {
 }
 
 void IncrementalMst::detach(NodeId id) {
-  edges_cache_stale_ = true;
   // Re-tune while the grid still mirrors the alive set (a rebuild includes
   // id; the erase below then removes it).
   if (4 * num_alive_ + 8 < grid_built_points_) rebuild_grid();

@@ -138,8 +138,13 @@ class IncrementalMst {
   [[nodiscard]] std::vector<NodeId> alive_ids() const;
 
   /// Current MST edges over the alive points (stable ids, canonical a < b,
-  /// sorted by (a, b) so equal trees compare equal).
-  [[nodiscard]] const std::vector<IdEdge>& edges() const;
+  /// sorted by (a, b) so equal trees compare equal). Built and sorted on
+  /// every call, O(n log n): for whole-tree consumers, not per-edge tests.
+  [[nodiscard]] std::vector<IdEdge> edges() const;
+
+  /// True iff {a, b} is a maintained tree edge (either order). O(degree of
+  /// a); false for dead or unknown ids.
+  [[nodiscard]] bool has_edge(NodeId a, NodeId b) const noexcept;
 
   /// Total Euclidean weight of the maintained tree.
   [[nodiscard]] double weight() const;
@@ -211,9 +216,6 @@ class IncrementalMst {
   /// stale marks never alias).
   std::vector<std::uint64_t> comp_stamp_;
   std::uint64_t stamp_clock_ = 0;
-  /// Lazily materialized (a, b)-sorted view backing edges().
-  mutable std::vector<IdEdge> edges_cache_;
-  mutable bool edges_cache_stale_ = true;
   MstDelta delta_;
   /// Work counters (grid_fallback_sweeps lives on the grid; stats() merges).
   IncrementalMstStats stats_;

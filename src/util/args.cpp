@@ -1,23 +1,30 @@
 #include "util/args.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 namespace wagg::util {
 
-Args::Args(int argc, const char* const* argv) {
+Args::Args(int argc, const char* const* argv,
+           std::initializer_list<std::string_view> known) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
     const auto eq = arg.find('=');
+    std::string key = arg.substr(2, eq == std::string::npos ? eq : eq - 2);
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      throw std::invalid_argument("unknown flag --" + key);
+    }
     if (eq == std::string::npos) {
       // The explicit std::string temporary makes the map store a move, not
       // an operator=(const char*) — that spelling trips a GCC 12 -Wrestrict
       // false positive (impossible overlap offsets) once the string replace
       // path is inlined.
-      values_.insert_or_assign(arg.substr(2), std::string("1"));
+      values_.insert_or_assign(std::move(key), std::string("1"));
     } else {
-      values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
+      values_[std::move(key)] = arg.substr(eq + 1);
     }
   }
 }

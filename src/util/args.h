@@ -1,16 +1,22 @@
 #ifndef WAGG_UTIL_ARGS_H
 #define WAGG_UTIL_ARGS_H
 
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace wagg::util {
 
 /// Minimal `--key=value` command-line parser for the example binaries.
-/// `--flag` with no value maps to "1"; non-`--` tokens are ignored.
+/// `--flag` with no value maps to "1"; non-`--` tokens are ignored. `known`
+/// lists every flag the CLI reads: any other flag throws
+/// std::invalid_argument naming it, so a misspelt or retired flag fails
+/// instead of silently dropping what it asked for.
 class Args {
  public:
-  Args(int argc, const char* const* argv);
+  Args(int argc, const char* const* argv,
+       std::initializer_list<std::string_view> known);
 
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,

@@ -358,35 +358,31 @@ TEST(Boundary, ExactThresholdPairsAgreeEverywhere) {
   }
 }
 
-/// Mirrors planner wiring: a LinkStore with an attached listener keeps a
-/// ConflictIndex in sync through adds, removes, endpoint moves (set_length +
-/// touch), and flips; after every step the index must answer every row
-/// exactly like a from-scratch bucketed query and the brute-force graph.
-class StoreIndexBridge final : public geom::LinkStoreListener {
- public:
-  StoreIndexBridge(const geom::Pointset& points, const geom::LinkStore& store,
-                   ConflictIndex& index)
-      : points_(points), store_(store), index_(index) {}
-
-  void on_add(geom::LinkId id) override {
-    index_.add(id, points_[static_cast<std::size_t>(store_.sender(id))],
-               points_[static_cast<std::size_t>(store_.receiver(id))],
-               store_.length(id));
+/// Mirrors planner wiring: the store's change log keeps a ConflictIndex in
+/// sync through adds, removes, endpoint moves (set_length + touch), and
+/// flips. Like DynamicPlanner's sync, it applies the logged geometry changes
+/// (a flip leaves the undirected pair unchanged) and then clears the log;
+/// after every step the index must answer every row exactly like a
+/// from-scratch bucketed query and the brute-force graph.
+void apply_changes(geom::LinkStore& store, const geom::Pointset& points,
+                   ConflictIndex& index) {
+  const auto at = [&](std::int32_t node) {
+    return points[static_cast<std::size_t>(node)];
+  };
+  for (const auto id : store.changed()) {
+    if (!(store.change(id) & geom::LinkStore::kGeometry)) continue;
+    if (!store.alive(id)) {
+      if (index.contains(id)) index.remove(id);
+    } else if (index.contains(id)) {
+      index.update(id, at(store.sender(id)), at(store.receiver(id)),
+                   store.length(id));
+    } else {
+      index.add(id, at(store.sender(id)), at(store.receiver(id)),
+                store.length(id));
+    }
   }
-  void on_remove(geom::LinkId id) override { index_.remove(id); }
-  void on_flip(geom::LinkId) override {}
-  void on_set_length(geom::LinkId id) override {
-    index_.update(id, points_[static_cast<std::size_t>(store_.sender(id))],
-                  points_[static_cast<std::size_t>(store_.receiver(id))],
-                  store_.length(id));
-  }
-  void on_touch(geom::LinkId id) override { on_set_length(id); }
-
- private:
-  const geom::Pointset& points_;
-  const geom::LinkStore& store_;
-  ConflictIndex& index_;
-};
+  store.clear_changes();
+}
 
 TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
   util::Rng rng(2024);
@@ -396,8 +392,6 @@ TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
   }
   geom::LinkStore store;
   ConflictIndex index;
-  StoreIndexBridge bridge(points, store, index);
-  store.set_listener(&bridge);
 
   std::vector<std::int32_t> node_index(points.size());
   std::iota(node_index.begin(), node_index.end(), 0);
@@ -443,6 +437,7 @@ TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
       store.flip(ids[rng.below(ids.size())]);
     }
 
+    apply_changes(store, points, index);
     ASSERT_EQ(index.size(), store.num_live()) << "step " << step;
     if (step % 4 != 3) continue;
     const auto view = store.snapshot(points, node_index);
@@ -465,7 +460,6 @@ TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
       }
     }
   }
-  store.set_listener(nullptr);
 }
 
 TEST(ConflictIndex, RejectsBadMutations) {
@@ -509,7 +503,7 @@ TEST(ConflictIndex, LazyReclassOnlyWhenClassChanges) {
 /// is served entirely from the cache — and both must equal the from-scratch
 /// bucketed rows. Moves use large jumps so lengths cross [2^c, 2^(c+1))
 /// class boundaries, exercising the re-class erase/insert patch path.
-TEST(ConflictIndex, RowCacheStaysExactUnderListenerChurn) {
+TEST(ConflictIndex, RowCacheStaysExactUnderStoreChurn) {
   util::Rng rng(4096);
   geom::Pointset points;
   for (int i = 0; i < 24; ++i) {
@@ -517,8 +511,6 @@ TEST(ConflictIndex, RowCacheStaysExactUnderListenerChurn) {
   }
   geom::LinkStore store;
   ConflictIndex index;
-  StoreIndexBridge bridge(points, store, index);
-  store.set_listener(&bridge);
 
   std::vector<std::int32_t> node_index(points.size());
   std::iota(node_index.begin(), node_index.end(), 0);
@@ -560,6 +552,7 @@ TEST(ConflictIndex, RowCacheStaysExactUnderListenerChurn) {
       store.flip(ids[rng.below(ids.size())]);
     }
 
+    apply_changes(store, points, index);
     const auto view = store.snapshot(points, node_index);
     std::vector<std::size_t> all(view.size());
     std::iota(all.begin(), all.end(), std::size_t{0});
@@ -574,7 +567,6 @@ TEST(ConflictIndex, RowCacheStaysExactUnderListenerChurn) {
       EXPECT_EQ(index.rows_cached(), store.num_live()) << "step " << step;
     }
   }
-  store.set_listener(nullptr);
 
   // The trace must have exercised every maintenance path, and the counter
   // identity hits + misses == rows_queried must hold exactly.

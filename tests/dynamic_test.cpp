@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <limits>
 #include <map>
 #include <numeric>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "conflict/conflict_index.h"
@@ -644,6 +646,123 @@ TEST(DynamicPlanner, FailedEpochCannotLeaveStaleCachedRows) {
   const auto scratch = conflict::conflict_neighbors_bucketed(links, spec, all);
   EXPECT_EQ(planner.conflict_index().neighbors(links, spec, all), scratch);
   EXPECT_EQ(planner.conflict_index().neighbors(links, spec, all), scratch);
+}
+
+/// The store's change log is the dirty set: after the open, and after every
+/// epoch that follows a successful one, the epoch's dirty count is the
+/// number of live links the log names. The session mixes one-mutation
+/// epochs, a bulk epoch (tree rebuilt, store reconciled) and a rejected
+/// batch, whose successor replans everything instead.
+TEST(DynamicPlanner, DirtyLinksAreTheLoggedLiveLinks) {
+  const auto points = workload::make_family("uniform", 64, 29);
+  ChurnParams params;
+  params.epochs = 8;
+  params.rate = 0.02;
+  const auto trace = make_churn_trace(points, params, 41);
+
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  DynamicPlanner planner(points, options);
+  const auto logged_live = [&] {
+    const auto& store = planner.link_store();
+    const auto changed = store.changed();
+    return static_cast<std::size_t>(
+        std::count_if(changed.begin(), changed.end(),
+                      [&](geom::LinkId id) { return store.alive(id); }));
+  };
+  EXPECT_EQ(planner.last_report().dirty_links, logged_live());
+  EXPECT_EQ(logged_live(), planner.snapshot().links.size());  // the open
+
+  std::size_t partial = 0;  // epochs that left some link clean
+  bool after_failure = false;
+  const auto run = [&](const std::vector<Mutation>& batch) {
+    const auto report = planner.apply(batch);
+    if (!after_failure) {
+      EXPECT_EQ(report.dirty_links, logged_live()) << "epoch " << report.epoch;
+      if (report.dirty_links < report.num_links) ++partial;
+    }
+    after_failure = false;
+  };
+  for (std::size_t e = 0; e < trace.size(); ++e) {
+    run(trace[e]);
+    const auto& snap = planner.snapshot();
+    const std::size_t k = snap.ids[1] == planner.sink() ? 2 : 1;
+    if (e == 2) {
+      // Twelve moves at once: past the bulk threshold max(8, n / 8).
+      std::vector<Mutation> bulk;
+      for (std::size_t i = 0; i < snap.ids.size() && bulk.size() < 12; ++i) {
+        if (snap.ids[i] == planner.sink()) continue;
+        bulk.push_back({Mutation::Kind::kMove, snap.ids[i],
+                        {snap.points[i].x + 0.01, snap.points[i].y}});
+      }
+      run(bulk);
+    } else if (e == 5) {
+      const std::vector<Mutation> rejected = {
+          {Mutation::Kind::kMove, snap.ids[k],
+           {snap.points[k].x + 0.25, snap.points[k].y}},
+          {Mutation::Kind::kRemove, planner.sink(), {}}};
+      EXPECT_THROW((void)planner.apply(rejected), std::invalid_argument);
+      after_failure = true;
+    }
+  }
+  EXPECT_GE(partial, 5u);
+}
+
+/// DynamicPlanner follows the rule of zero: a session moved into a new
+/// object mid-trace keeps planning audit-clean and ends on the same plan as
+/// an unmoved twin, and a copy is an independent session.
+TEST(DynamicPlanner, MovedSessionMatchesUnmovedTwin) {
+  static_assert(std::is_copy_constructible_v<DynamicPlanner> &&
+                std::is_copy_assignable_v<DynamicPlanner> &&
+                std::is_move_constructible_v<DynamicPlanner> &&
+                std::is_move_assignable_v<DynamicPlanner>);
+  const auto points = workload::make_family("uniform", 64, 31);
+  ChurnParams params;
+  params.epochs = 8;
+  params.rate = 0.05;
+  const auto trace = make_churn_trace(points, params, 47);
+
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  options.audit = true;
+  DynamicPlanner twin(points, options);
+  DynamicPlanner original(points, options);
+  const std::size_t half = trace.size() / 2;
+  for (std::size_t e = 0; e < half; ++e) {
+    (void)twin.apply(trace[e]);
+    EXPECT_TRUE(original.apply(trace[e]).audit_ok()) << "epoch " << e + 1;
+  }
+  DynamicPlanner moved(std::move(original));
+  for (std::size_t e = half; e < trace.size(); ++e) {
+    (void)twin.apply(trace[e]);
+    const auto report = moved.apply(trace[e]);
+    EXPECT_TRUE(report.valid) << "epoch " << report.epoch;
+    EXPECT_TRUE(report.audit_ok()) << "epoch " << report.epoch;
+  }
+
+  const auto expect_same_plan = [](const DynamicPlanner& x,
+                                   const DynamicPlanner& y) {
+    const auto& a = x.snapshot();
+    const auto& b = y.snapshot();
+    EXPECT_EQ(a.ids, b.ids);
+    ASSERT_EQ(a.links.size(), b.links.size());
+    for (std::size_t i = 0; i < a.links.size(); ++i) {
+      EXPECT_EQ(a.links.id_of(i), b.links.id_of(i));
+      EXPECT_EQ(a.links.link(i), b.links.link(i));
+      EXPECT_EQ(a.links.length(i), b.links.length(i));
+    }
+    EXPECT_EQ(a.schedule.slots, b.schedule.slots);
+    EXPECT_EQ(a.rate, b.rate);
+    EXPECT_EQ(x.power().log2_powers(), y.power().log2_powers());
+  };
+  expect_same_plan(moved, twin);
+
+  // Planning on a copy leaves its source alone.
+  DynamicPlanner copy(moved);
+  EXPECT_TRUE(
+      copy.apply(Mutation{Mutation::Kind::kAdd, -1, {-3.25, -3.25}}).audit_ok());
+  EXPECT_EQ(copy.num_nodes(), twin.num_nodes() + 1);
+  expect_same_plan(moved, twin);
 }
 
 /// Cross-checks the published row-cache telemetry: across a churn run every

@@ -16,7 +16,6 @@
 #include "schedule/packing.h"
 #include "schedule/simulator.h"
 #include "sinr/power.h"
-#include "util/args.h"
 
 namespace wagg {
 namespace {
@@ -288,30 +287,6 @@ TEST_P(ExtendedFamiliesPlan, PlannerVerifiesOnEveryFamily) {
 
 INSTANTIATE_TEST_SUITE_P(Families, ExtendedFamiliesPlan,
                          ::testing::Values(0, 1, 2, 3));
-
-// --- CLI args ------------------------------------------------------------------
-
-TEST(Args, ParsesKeyValueAndFlags) {
-  const char* argv[] = {"prog", "--n=42", "--family=grid", "--verbose",
-                        "ignored"};
-  const util::Args args(5, argv);
-  EXPECT_TRUE(args.has("n"));
-  EXPECT_TRUE(args.has("verbose"));
-  EXPECT_FALSE(args.has("ignored"));
-  EXPECT_EQ(args.get("family", "x"), "grid");
-  EXPECT_EQ(args.get("missing", "fallback"), "fallback");
-  EXPECT_EQ(args.get_int("n", 0), 42);
-  EXPECT_EQ(args.get("verbose", ""), "1");
-}
-
-TEST(Args, NumericValidation) {
-  const char* argv[] = {"prog", "--alpha=3.5", "--bad=3x"};
-  const util::Args args(3, argv);
-  EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 3.5);
-  EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
-  EXPECT_THROW((void)args.get_double("bad", 0.0), std::invalid_argument);
-  EXPECT_THROW((void)args.get_int("alpha", 0), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace wagg

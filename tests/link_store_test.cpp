@@ -17,8 +17,14 @@
 namespace wagg {
 namespace {
 
-TEST(LinkStore, IdStabilityAndGenerations) {
-  geom::LinkStore store;
+TEST(LinkStore, IdStabilityAndChangeLog) {
+  using geom::LinkStore;
+  constexpr int kBoth = LinkStore::kGeometry | LinkStore::kOrientation;
+  const auto logged = [](const LinkStore& store) {
+    const auto changed = store.changed();
+    return std::vector<geom::LinkId>(changed.begin(), changed.end());
+  };
+  LinkStore store;
   const auto a = store.add(0, 1, 1.0);
   const auto b = store.add(1, 2, 2.0);
   EXPECT_EQ(a, 0);
@@ -27,86 +33,71 @@ TEST(LinkStore, IdStabilityAndGenerations) {
   EXPECT_EQ(store.find_pair(1, 0), a);  // pairs are undirected
   EXPECT_EQ(store.find_pair(2, 1), b);
   EXPECT_EQ(store.find_pair(0, 2), geom::kNoLink);
+  // add logs both kinds of change.
+  EXPECT_EQ(store.change(a), kBoth);
+  EXPECT_EQ(store.change(b), kBoth);
+  EXPECT_EQ(logged(store), (std::vector<geom::LinkId>{a, b}));
 
-  // flip: in-place orientation diff, endpoint generation advances.
-  const auto endpoint_gen = store.endpoint_gen(a);
+  store.clear_changes();
+  EXPECT_TRUE(store.changed().empty());
+  EXPECT_EQ(store.change(a), 0);
+  EXPECT_EQ(store.change(b), 0);
+
+  // set_length: a bit-identical refresh must NOT dirty the link.
+  store.set_length(b, 2.0);
+  EXPECT_TRUE(store.changed().empty());
+  EXPECT_EQ(store.change(b), 0);
+
+  // touch: a geometry change without a column change.
+  store.touch(b);
+  EXPECT_EQ(store.change(b), LinkStore::kGeometry);
+  EXPECT_DOUBLE_EQ(store.length(b), 2.0);
+
+  // flip: an in-place orientation diff.
   store.flip(a);
   EXPECT_EQ(store.sender(a), 1);
   EXPECT_EQ(store.receiver(a), 0);
-  EXPECT_GT(store.endpoint_gen(a), endpoint_gen);
   EXPECT_EQ(store.find_pair(0, 1), a);  // pair index unaffected
+  EXPECT_EQ(store.change(a), LinkStore::kOrientation);
 
-  // set_length: bit-identical refresh must NOT dirty the link.
-  const auto length_gen = store.length_gen(a);
-  store.set_length(a, 1.0);
-  EXPECT_EQ(store.length_gen(a), length_gen);
+  // A value-changing set_length adds the geometry flag. Each id stays
+  // logged once, at its first change.
   store.set_length(a, 1.5);
-  EXPECT_GT(store.length_gen(a), length_gen);
   EXPECT_DOUBLE_EQ(store.length(a), 1.5);
-
-  // touch: dirt without column change.
-  const auto touch_gen = store.generation(b);
+  EXPECT_EQ(store.change(a), kBoth);
+  store.set_length(b, 2.5);
   store.touch(b);
-  EXPECT_GT(store.generation(b), touch_gen);
-  EXPECT_DOUBLE_EQ(store.length(b), 2.0);
+  EXPECT_EQ(store.change(b), LinkStore::kGeometry);
+  EXPECT_EQ(logged(store), (std::vector<geom::LinkId>{b, a}));
 
-  // remove kills the id forever; new links never reuse it.
+  // remove kills the id forever; new links never reuse it. The dead id
+  // stays in the log, and its flags stay readable.
   store.remove(a);
   EXPECT_FALSE(store.alive(a));
   EXPECT_EQ(store.find_pair(0, 1), geom::kNoLink);
+  EXPECT_EQ(store.change(a), kBoth);
   const auto c = store.add(0, 1, 1.0);
   EXPECT_EQ(c, 2);
   EXPECT_EQ(store.capacity(), 3u);
+  EXPECT_EQ(logged(store), (std::vector<geom::LinkId>{b, a, c}));
 
-  EXPECT_THROW(store.flip(a), std::invalid_argument);       // dead id
-  EXPECT_THROW(store.add(2, 1, 1.0), std::invalid_argument);  // live pair
+  // A removal alone is a geometry change.
+  store.clear_changes();
+  store.remove(b);
+  EXPECT_EQ(store.change(b), LinkStore::kGeometry);
+  EXPECT_EQ(logged(store), std::vector<geom::LinkId>{b});
+
+  // clear_changes() resets every flag, dead ids included; unknown ids read 0.
+  store.clear_changes();
+  EXPECT_TRUE(store.changed().empty());
+  for (geom::LinkId id = -1; id <= 3; ++id) EXPECT_EQ(store.change(id), 0);
+
+  EXPECT_THROW(store.flip(a), std::invalid_argument);         // dead id
+  EXPECT_THROW(store.touch(b), std::invalid_argument);        // dead id
+  EXPECT_THROW(store.add(1, 0, 1.0), std::invalid_argument);  // live pair
   EXPECT_THROW(store.add(3, 3, 1.0), std::invalid_argument);  // self loop
   EXPECT_THROW(store.add(4, 5, 0.0), std::invalid_argument);  // zero length
-}
-
-/// Records every listener callback as "<event>:<id>" for order-sensitive
-/// assertions.
-class RecordingListener final : public geom::LinkStoreListener {
- public:
-  void on_add(geom::LinkId id) override { log("add", id); }
-  void on_remove(geom::LinkId id) override { log("remove", id); }
-  void on_flip(geom::LinkId id) override { log("flip", id); }
-  void on_set_length(geom::LinkId id) override { log("set_length", id); }
-  void on_touch(geom::LinkId id) override { log("touch", id); }
-
-  std::vector<std::string> events;
-
- private:
-  void log(const char* what, geom::LinkId id) {
-    events.push_back(std::string(what) + ":" + std::to_string(id));
-  }
-};
-
-TEST(LinkStore, ListenerSeesEveryEffectiveMutation) {
-  geom::LinkStore store;
-  RecordingListener listener;
-  store.set_listener(&listener);
-
-  const auto a = store.add(0, 1, 1.0);
-  const auto b = store.add(1, 2, 2.0);
-  store.flip(a);
-  store.set_length(b, 2.0);  // bit-identical: must NOT fire
-  store.set_length(b, 2.5);
-  store.touch(a);
-  store.remove(a);
-  const std::vector<std::string> expected = {
-      "add:0", "add:1", "flip:0", "set_length:1", "touch:0", "remove:0"};
-  EXPECT_EQ(listener.events, expected);
-
-  // clear() notifies the removal of every still-live link.
-  listener.events.clear();
-  store.clear();
-  EXPECT_EQ(listener.events, std::vector<std::string>{"remove:1"});
-
-  // Detached listeners hear nothing.
-  store.set_listener(nullptr);
-  (void)store.add(3, 4, 1.0);
-  EXPECT_EQ(listener.events, std::vector<std::string>{"remove:1"});
+  EXPECT_TRUE(store.changed().empty());  // rejected calls log nothing
 }
 
 TEST(LinkStore, SnapshotIsDenseIdOrderedAndFacadeAdoptsIt) {
@@ -216,10 +207,9 @@ TEST(DynamicPlanner, PowerCertifiesSlotsAndCarriesUnchangedOnes) {
   dynamic::DynamicPlanner planner(points, options);
 
   // Each slot's entries keyed by its stable-id membership, as of the last
-  // check, plus the store clock of that plan.
+  // check.
   using Members = std::vector<geom::LinkId>;
   std::map<Members, std::map<geom::LinkId, double>> previous;
-  std::uint64_t previous_clock = 0;
   std::size_t carried = 0;
   std::size_t fresh = 0;
   const auto check_powers = [&]() {
@@ -247,7 +237,7 @@ TEST(DynamicPlanner, PowerCertifiesSlotsAndCarriesUnchangedOnes) {
       const bool unchanged =
           !full && before != previous.end() &&
           std::all_of(members.begin(), members.end(), [&](geom::LinkId id) {
-            return store.generation(id) <= previous_clock;
+            return store.change(id) == 0;
           });
       if (unchanged) {
         // Membership and geometry unchanged: the previous entries, bit for
@@ -268,7 +258,6 @@ TEST(DynamicPlanner, PowerCertifiesSlotsAndCarriesUnchangedOnes) {
       ++fresh;
     }
     previous = std::move(current);
-    previous_clock = store.clock();
   };
 
   check_powers();

@@ -11,6 +11,7 @@
 #include "geom/point.h"
 #include "instance/basic.h"
 #include "mst/dtree.h"
+#include "mst/incremental.h"
 #include "mst/mst.h"
 #include "mst/point_grid.h"
 #include "mst/tree.h"
@@ -282,6 +283,57 @@ TEST(PointGrid, NearestAndConeQueriesAreExact) {
   const auto capped = grid.nearest({4.5, 4.5}, none,
                                    grid.nearest({4.5, 4.5}, none).w2);
   EXPECT_EQ(capped.id, grid.nearest({4.5, 4.5}, none).id);
+}
+
+TEST(IncrementalMst, HasEdgeAgreesWithEdges) {
+  util::Rng rng(19);
+  geom::Pointset points;
+  for (int i = 0; i < 30; ++i) {
+    points.push_back({rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)});
+  }
+  IncrementalMst inc(points);
+  std::size_t ids = points.size();  // every id ever allocated
+  std::size_t tree_pairs = 0;
+  std::size_t dead = 0;
+  const auto check = [&](int step) {
+    const auto edges = inc.edges();
+    // Every pair of ids, in both orders, plus one unknown id on each side.
+    const auto end = static_cast<NodeId>(ids) + 1;
+    for (NodeId a = -1; a <= end; ++a) {
+      for (NodeId b = -1; b <= end; ++b) {
+        const IdEdge probe = a < b ? IdEdge{a, b} : IdEdge{b, a};
+        const bool listed = std::binary_search(
+            edges.begin(), edges.end(), probe,
+            [](const IdEdge& x, const IdEdge& y) {
+              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+            });
+        ASSERT_EQ(inc.has_edge(a, b), listed)
+            << "step " << step << " pair " << a << ", " << b;
+        if (listed) ++tree_pairs;
+      }
+      if (a >= 0 && a < end - 1 && !inc.alive(a)) ++dead;
+    }
+  };
+  check(-1);
+  for (int step = 0; step < 40; ++step) {
+    const auto alive = inc.alive_ids();
+    const auto pick = alive[rng.below(alive.size())];
+    const geom::Point p{rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)};
+    switch (rng.below(3)) {
+      case 0:
+        (void)inc.add_point(p);
+        ++ids;
+        break;
+      case 1:
+        if (alive.size() > 3) inc.remove_point(pick);
+        break;
+      default:
+        inc.move_point(pick, p);
+    }
+    check(step);
+  }
+  EXPECT_GT(tree_pairs, 0u);
+  EXPECT_GT(dead, 0u);  // dead ids were probed too
 }
 
 TEST(Tree, OrientationBasics) {

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/args.h"
 #include "util/logmath.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -228,6 +229,42 @@ TEST(Table, FormatDoubleTrimsZeros) {
   EXPECT_EQ(format_double(2.0, 3), "2");
   EXPECT_EQ(format_double(0.125, 3), "0.125");
   EXPECT_EQ(format_double(0.1239, 2), "0.12");
+}
+
+TEST(Args, ParsesKnownFlagsAndIgnoresPositionalTokens) {
+  const char* argv[] = {"prog", "--n=42", "--family=grid", "--verbose",
+                        "ignored"};
+  const Args args(5, argv, {"n", "family", "verbose", "missing"});
+  EXPECT_TRUE(args.has("n"));
+  EXPECT_TRUE(args.has("verbose"));
+  EXPECT_FALSE(args.has("ignored"));
+  EXPECT_FALSE(args.has("missing"));
+  EXPECT_EQ(args.get("family", "x"), "grid");
+  EXPECT_EQ(args.get("missing", "fallback"), "fallback");
+  EXPECT_EQ(args.get_int("n", 0), 42);
+  EXPECT_EQ(args.get("verbose", ""), "1");
+}
+
+TEST(Args, UnknownFlagThrowsWithItsName) {
+  for (const char* flag : {"--audtt", "--audtt=1"}) {
+    const char* argv[] = {"prog", "--n=32", flag, "--audit"};
+    try {
+      (void)Args(4, argv, {"n", "audit"});
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--audtt"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Args, NumericValidation) {
+  const char* argv[] = {"prog", "--alpha=3.5", "--bad=3x"};
+  const Args args(3, argv, {"alpha", "bad"});
+  EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 3.5);
+  EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
+  EXPECT_THROW((void)args.get_double("bad", 0.0), std::invalid_argument);
+  EXPECT_THROW((void)args.get_int("alpha", 0), std::invalid_argument);
 }
 
 TEST(ParallelFor, PoolHasOneHelperPerOtherCore) {
