@@ -8,6 +8,7 @@
 // Modes:    uniform | linear | oblivious | global
 
 #include <cmath>
+#include <cstdint>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
@@ -48,8 +49,21 @@ int main(int argc, char** argv) {
     return 0;
   }
   const std::string family = args.get("family", "uniform");
-  const auto n = static_cast<std::size_t>(args.get_int("n", 256));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  std::size_t n = 0;
+  std::uint64_t seed = 0;
+  wagg::core::PlannerConfig config;
+  try {
+    n = static_cast<std::size_t>(args.get_int("n", 256));
+    seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+    config.sinr.alpha = args.get_double("alpha", 3.0);
+    config.sinr.beta = args.get_double("beta", 1.0);
+    config.tau = args.get_double("tau", 0.5);
+    config.gamma = args.get_double("gamma", 2.0);
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "capacity_explorer: " << e.what() << "\n" << kUsage;
+    return 2;
+  }
 
   wagg::geom::Pointset points;
   if (family == "uniform") {
@@ -74,7 +88,6 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  wagg::core::PlannerConfig config;
   const std::string mode = args.get("mode", "global");
   if (mode == "uniform") {
     config.power_mode = wagg::core::PowerMode::kUniform;
@@ -88,10 +101,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown mode: " << mode << "\n";
     return 2;
   }
-  config.sinr.alpha = args.get_double("alpha", 3.0);
-  config.sinr.beta = args.get_double("beta", 1.0);
-  config.tau = args.get_double("tau", 0.5);
-  config.gamma = args.get_double("gamma", 2.0);
 
   const auto plan = wagg::core::plan_aggregation(points, config);
   const double log_delta = plan.tree.links.log2_delta();

@@ -289,8 +289,10 @@ void ConflictIndex::update(geom::LinkId id, const geom::Point& sender,
   auto& entry = checked(id);
   if (entry.sender == sender && entry.receiver == receiver &&
       entry.length == length) {
-    // Bit-identical geometry (a link queued twice in one epoch lands here on
-    // its second visit): no cell and no row can change.
+    // Bit-identical geometry: the sync visits each logged link once, so
+    // this is a logged link whose geometry came out as it was, such as a
+    // link of a node moved onto its own position. No cell and no row can
+    // change.
     ++updates_;
     return;
   }

@@ -2,12 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
+#include "obs/metrics.h"
 #include "sinr/feasibility.h"
 
 namespace wagg::schedule {
+
+namespace {
+
+/// The registry's count of SINR gain terms formed, shared with sinr/.
+obs::Counter& gain_entries() {
+  static obs::Counter& counter =
+      obs::Registry::global().counter("sinr.gain_entries");
+  return counter;
+}
+
+}  // namespace
 
 JoinRule::JoinRule(FeasibilityOracle oracle)
     : kind_(Kind::kOracleTrial), oracle_(std::move(oracle)) {}
@@ -30,9 +44,22 @@ JoinRule JoinRule::running_loads(const geom::LinkView& links,
   rule.params_ = params;
   rule.power_ = std::move(power);
   rule.tolerance_ = tolerance;
-  rule.log2_len_.reserve(links.size());
+  rule.gain_ = sinr::GainPower(params.alpha);
+  double max_log2_power = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < links.size(); ++i) {
-    rule.log2_len_.push_back(std::log2(links.length(i)));
+    max_log2_power = std::max(max_log2_power, rule.power_.log2_power(i));
+  }
+  rule.len2_.resize(links.size());
+  rule.unit_power_.resize(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const double len = links.length(i);
+    rule.len2_[i] = len * len;
+    const double p = std::exp2(rule.power_.log2_power(i) - max_log2_power);
+    rule.unit_power_[i] = sinr::in_linear_range(p) ? p : 0.0;
+  }
+  if (params.noise > 0.0) {
+    rule.noise_scale_ = std::exp2(std::log2(params.beta) +
+                                  std::log2(params.noise) - max_log2_power);
   }
   return rule;
 }
@@ -63,11 +90,21 @@ bool JoinRule::admit(SlotLoad& slot, std::size_t link) const {
 }
 
 double JoinRule::load_term(std::size_t j, std::size_t i) const {
+  const geom::Point& s = links_->sender_pos(j);
+  const geom::Point& r = links_->receiver_pos(i);
+  const double g = sinr::gain_entry(gain_, r.x, r.y, len2_[i], s.x, s.y);
+  const double scale = params_.beta * (unit_power_[j] / unit_power_[i]);
+  const double term = scale * g;
+  if (sinr::in_linear_range(g) & sinr::in_linear_range(scale) &
+      sinr::in_linear_range(term)) {
+    return term;
+  }
   const double d = links_->sinr_distance(j, i);
   if (d <= 0.0) return 1e30;
   const double lg = std::log2(params_.beta) + power_.log2_power(j) -
                     power_.log2_power(i) +
-                    params_.alpha * (log2_len_[i] - std::log2(d));
+                    params_.alpha * (std::log2(links_->length(i)) -
+                                     std::log2(d));
   if (lg >= 100.0) return 1e30;
   if (lg <= -1074.0) return 0.0;
   return std::exp2(lg);
@@ -75,8 +112,15 @@ double JoinRule::load_term(std::size_t j, std::size_t i) const {
 
 double JoinRule::noise_load(std::size_t i) const {
   if (params_.noise <= 0.0) return 0.0;
+  const double own = gain_(len2_[i]);  // l_i^alpha
+  const double load = noise_scale_ * (own / unit_power_[i]);
+  if (sinr::in_linear_range(noise_scale_) & sinr::in_linear_range(own) &
+      sinr::in_linear_range(load)) {
+    return load;
+  }
   const double lg = std::log2(params_.beta) + std::log2(params_.noise) +
-                    params_.alpha * log2_len_[i] - power_.log2_power(i);
+                    params_.alpha * std::log2(links_->length(i)) -
+                    power_.log2_power(i);
   return lg >= 100.0 ? 1e30 : std::exp2(lg);
 }
 
@@ -85,28 +129,37 @@ bool JoinRule::admit_running(SlotLoad& slot, std::size_t x) const {
   const double own = noise_load(x);
   if (own > limit) return false;
   const auto& members = slot.members;
-  if (slot.load.size() != members.size()) {
+  const std::size_t k = members.size();
+  std::uint64_t entries = 0;
+  if (slot.load.size() != k) {
     // Members that arrived without loads (a kept or failed slot).
-    slot.load.assign(members.size(), 0.0);
-    for (std::size_t a = 0; a < members.size(); ++a) {
+    slot.load.assign(k, 0.0);
+    for (std::size_t a = 0; a < k; ++a) {
       slot.load[a] = noise_load(members[a]);
-      for (std::size_t b = 0; b < members.size(); ++b) {
+      for (std::size_t b = 0; b < k; ++b) {
         if (b != a) slot.load[a] += load_term(members[b], members[a]);
       }
     }
+    entries += k * (k - 1);
   }
   std::vector<double> incoming;
-  incoming.reserve(members.size());
+  incoming.reserve(k);
   double new_load = own;
-  for (std::size_t a = 0; a < members.size(); ++a) {
+  bool fits = true;
+  for (std::size_t a = 0; a < k && fits; ++a) {
     const std::size_t i = members[a];
-    if (links_->shares_node(x, i)) return false;
+    if (links_->shares_node(x, i)) {
+      fits = false;
+      break;
+    }
     const double inc = load_term(x, i);
-    if (slot.load[a] + inc > limit) return false;
     new_load += load_term(i, x);
-    if (new_load > limit) return false;
+    entries += 2;
+    fits = slot.load[a] + inc <= limit && new_load <= limit;
     incoming.push_back(inc);
   }
+  gain_entries().add(entries);
+  if (!fits) return false;
   for (std::size_t a = 0; a < incoming.size(); ++a) slot.load[a] += incoming[a];
   slot.members.push_back(x);
   slot.load.push_back(new_load);

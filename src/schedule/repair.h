@@ -30,7 +30,9 @@ struct SlotLoad {
 ///       (power_control_oracle's verdict), keeping the accepted vector.
 ///   (c) running_loads: per-member loads under a fixed assignment, so a join
 ///       costs O(|slot|); whole-slot checks run sinr::is_feasible with the
-///       same tolerance.
+///       same tolerance. Each term is formed on the linear gain formula of
+///       sinr::check_feasible, from squared lengths and normalized linear
+///       powers computed once per rule.
 /// Rules (b) and (c) reference their links, which must outlive them.
 class JoinRule {
  public:
@@ -55,9 +57,11 @@ class JoinRule {
   explicit JoinRule(Kind kind) : kind_(kind) {}
 
   [[nodiscard]] bool admit_running(SlotLoad& slot, std::size_t link) const;
-  /// beta * I_P(j, i), saturating instead of overflowing.
+  /// beta * I_P(j, i) = beta * (p_j / p_i) * gain_entry(j on i); outside
+  /// the linear window the log-space term, saturating instead of
+  /// overflowing.
   [[nodiscard]] double load_term(std::size_t j, std::size_t i) const;
-  /// beta * noise * l_i^alpha / P_i.
+  /// beta * noise * l_i^alpha / P_i, with the same fallback.
   [[nodiscard]] double noise_load(std::size_t i) const;
 
   Kind kind_;
@@ -66,7 +70,10 @@ class JoinRule {
   sinr::SinrParams params_{};
   sinr::PowerAssignment power_;
   double tolerance_ = 0.0;
-  std::vector<double> log2_len_;
+  sinr::GainPower gain_{params_.alpha};
+  std::vector<double> len2_;        ///< squared length per link
+  std::vector<double> unit_power_;  ///< P_i / max P; 0 outside the window
+  double noise_scale_ = 0.0;        ///< beta * noise / max P
 };
 
 struct FirstFitCounts {

@@ -75,26 +75,197 @@ bool has_shared_node(const geom::LinkView& links,
   return std::adjacent_find(nodes.begin(), nodes.end()) != nodes.end();
 }
 
-FeasibilityReport check_feasible(const geom::LinkView& links,
-                                 std::span<const std::size_t> set,
-                                 const SinrParams& params,
-                                 const PowerAssignment& power,
-                                 double tolerance) {
-  params.validate();
-  FeasibilityReport report;
-  report.worst_link = set.size();
-  if (set.empty()) {
-    report.feasible = true;
-    return report;
+namespace {
+
+/// Sets with at least this many links split their rows over
+/// util::parallel_for; smaller ones stay on the calling thread. On a 4-vCPU
+/// x86-64 host at alpha = 3, with the helpers asleep before each call (as
+/// between a churn epoch's oracle calls), the split loses at 192 links and
+/// wins from 224 on. The serving runtime's n = 256 sessions stay below it.
+constexpr std::size_t kParallelMinLinks = 256;
+
+/// Consecutive rows a thread claims at once.
+constexpr std::size_t kRowGrain = 8;
+
+/// Rows handed to util::parallel_for, and how many of them helpers ran:
+/// an epoch whose helpers never woke shows a helper share near zero. Gain
+/// entries count the terms the SINR checks form: k(k-1) per whole-set
+/// check or matrix build of k links.
+struct KernelMetrics {
+  obs::Registry& reg = obs::Registry::global();
+  obs::Counter& rows = reg.counter("sinr.parallel_rows");
+  obs::Counter& helper_rows = reg.counter("sinr.parallel_helper_rows");
+  obs::Counter& gain_entries = reg.counter("sinr.gain_entries");
+};
+
+KernelMetrics& kernel_metrics() {
+  static KernelMetrics metrics;
+  return metrics;
+}
+
+void count_gain_entries(std::size_t k) {
+  if (k >= 2) kernel_metrics().gain_entries.add(k * (k - 1));
+}
+
+/// Runs row(a) once for every a in [0, k): split over the helper pool from
+/// kParallelMinLinks links on, serially below. Each row runs on exactly one
+/// thread with the same operations, so the split cannot change a bit.
+template <class RowFn>
+void for_each_row(std::size_t k, const RowFn& row) {
+  if (k < kParallelMinLinks) {
+    for (std::size_t a = 0; a < k; ++a) row(a);
+    return;
   }
-  if (has_shared_node(links, set)) {
-    report.shared_node = true;
-    report.feasible = false;
-    report.max_load = kInf;
-    return report;
+  const std::size_t helper_rows = util::parallel_for(k, kRowGrain, row);
+  kernel_metrics().rows.add(k);
+  kernel_metrics().helper_rows.add(helper_rows);
+}
+
+/// The endpoint columns of a set, gathered once: sender x/y, receiver x/y
+/// and squared length per link, k values each in one allocation.
+struct LinkColumns {
+  LinkColumns(const geom::LinkView& links, std::span<const std::size_t> set)
+      : k(set.size()), store(5 * k) {
+    for (std::size_t a = 0; a < k; ++a) {
+      const geom::Point& s = links.sender_pos(set[a]);
+      const geom::Point& r = links.receiver_pos(set[a]);
+      sx[a] = s.x;
+      sy[a] = s.y;
+      rx[a] = r.x;
+      ry[a] = r.y;
+      const double len = links.length(set[a]);
+      len2[a] = len * len;
+    }
   }
+  LinkColumns(const LinkColumns&) = delete;
+  LinkColumns& operator=(const LinkColumns&) = delete;
+
+  std::size_t k;
+  std::vector<double> store;
+  double* sx = store.data();
+  double* sy = sx + k;
+  double* rx = sy + k;
+  double* ry = rx + k;
+  double* len2 = ry + k;
+};
+
+#if defined(__SSE2__)
+/// gain_entry for senders b and b + 1 on one receiver, two lanes at a time:
+/// the same correctly rounded subtract, multiply, divide and square root,
+/// so each lane is bit-identical to the scalar entry.
+__m128d gain_pair(const LinkColumns& c, const GainPower& gain, __m128d rx,
+                  __m128d ry, __m128d len2, std::size_t b) {
+  const __m128d dx = _mm_sub_pd(_mm_loadu_pd(c.sx + b), rx);
+  const __m128d dy = _mm_sub_pd(_mm_loadu_pd(c.sy + b), ry);
+  const __m128d d2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
+  return gain(_mm_div_pd(len2, d2));
+}
+
+/// All-ones lanes where v lies in [kLinearMin, kLinearMax].
+__m128d lanes_in_linear_range(__m128d v) {
+  return _mm_and_pd(_mm_cmpge_pd(v, _mm_set1_pd(kLinearMin)),
+                    _mm_cmple_pd(v, _mm_set1_pd(kLinearMax)));
+}
+
+__m128d all_lanes() { return _mm_castsi128_pd(_mm_set1_epi64x(-1)); }
+#endif
+
+/// Fills row a of M, entries beta * gain_entry(b on a) with a zero
+/// diagonal, and returns the row's left-to-right sum; clears `in_range`
+/// when an entry leaves [kLinearMin, kLinearMax]. Under SSE2 two entries
+/// are formed at a time; the sum still adds one entry at a time, in order.
+double fill_row(const LinkColumns& c, const GainPower& gain, double beta,
+                std::size_t a, double* row, bool& in_range) {
+  const double rxa = c.rx[a], rya = c.ry[a], len2a = c.len2[a];
+  double sum = 0.0;
+  const auto fill = [&](std::size_t b0, std::size_t b1) {
+    std::size_t b = b0;
+#if defined(__SSE2__)
+    if (!gain.uses_pow()) {
+      const __m128d vrx = _mm_set1_pd(rxa), vry = _mm_set1_pd(rya);
+      const __m128d vlen2 = _mm_set1_pd(len2a), vbeta = _mm_set1_pd(beta);
+      __m128d ok = all_lanes();
+      for (; b + 2 <= b1; b += 2) {
+        const __m128d v =
+            _mm_mul_pd(vbeta, gain_pair(c, gain, vrx, vry, vlen2, b));
+        ok = _mm_and_pd(ok, lanes_in_linear_range(v));
+        _mm_storeu_pd(row + b, v);
+        sum += row[b];
+        sum += row[b + 1];
+      }
+      in_range &= _mm_movemask_pd(ok) == 3;
+    }
+#endif
+    for (; b < b1; ++b) {
+      const double v =
+          beta * gain_entry(gain, rxa, rya, len2a, c.sx[b], c.sy[b]);
+      in_range &= in_linear_range(v);
+      row[b] = v;
+      sum += v;
+    }
+  };
+  fill(0, a);
+  row[a] = 0.0;
+  fill(a + 1, c.k);
+  return sum;
+}
+
+/// Row a of the fixed-power check, sum over b != a of p[b] * gain_entry(b
+/// on a), without storing an entry (!gain.uses_pow() only). Entries go in
+/// pairs into two lane accumulators, and a run's odd last entry into lane
+/// 0; the lanes are added at the end of the row. Under SSE2 the pairs are
+/// formed two lanes at a time, with the same arithmetic in the same order
+/// as the scalar loop, so both give the same bits. Clears `in_range` when
+/// the smallest or largest entry leaves [kLinearMin, kLinearMax]; a NaN
+/// entry can slip past those extremes but not past the returned sum.
+double interference_row(const LinkColumns& c, const GainPower& gain,
+                        const double* p, std::size_t a, bool& in_range) {
+  const double rxa = c.rx[a], rya = c.ry[a], len2a = c.len2[a];
+  double lane[2] = {0.0, 0.0};
+  double lo[2] = {kLinearMax, kLinearMax};
+  double hi[2] = {kLinearMin, kLinearMin};
+  const auto add = [&](std::size_t l, std::size_t b) {
+    const double g = gain_entry(gain, rxa, rya, len2a, c.sx[b], c.sy[b]);
+    lo[l] = std::min(lo[l], g);
+    hi[l] = std::max(hi[l], g);
+    lane[l] += p[b] * g;
+  };
+  const auto run = [&](std::size_t b, std::size_t end) {
+#if defined(__SSE2__)
+    const __m128d vrx = _mm_set1_pd(rxa), vry = _mm_set1_pd(rya);
+    const __m128d vlen2 = _mm_set1_pd(len2a);
+    __m128d acc = _mm_loadu_pd(lane);
+    __m128d vlo = _mm_loadu_pd(lo), vhi = _mm_loadu_pd(hi);
+    for (; b + 2 <= end; b += 2) {
+      const __m128d g = gain_pair(c, gain, vrx, vry, vlen2, b);
+      vlo = _mm_min_pd(vlo, g);
+      vhi = _mm_max_pd(vhi, g);
+      acc = _mm_add_pd(acc, _mm_mul_pd(_mm_loadu_pd(p + b), g));
+    }
+    _mm_storeu_pd(lane, acc);
+    _mm_storeu_pd(lo, vlo);
+    _mm_storeu_pd(hi, vhi);
+#else
+    for (; b + 2 <= end; b += 2) {
+      add(0, b);
+      add(1, b + 1);
+    }
+#endif
+    if (b < end) add(0, b);
+  };
+  run(0, a);
+  run(a + 1, c.k);
+  in_range &= in_linear_range(std::min(lo[0], lo[1])) &
+              in_linear_range(std::max(hi[0], hi[1]));
+  return lane[0] + lane[1];
+}
+
+/// The fixed-power loads in log2 space: a log2 and an exp2 per entry, each
+/// row's terms summed by log-sum-exp. Fills max_load and worst_link.
+void log2_loads(const geom::LinkView& links, std::span<const std::size_t> set,
+                const SinrParams& params, const PowerAssignment& power,
+                FeasibilityReport& report) {
   const double log2_beta = std::log2(params.beta);
-  report.max_load = 0.0;
   // Hoisted per-link columns: log2 length and log2 power are re-read for
   // every pair in the inner loop, so computing them once per link removes
   // two transcendentals per matrix entry. Distances enter as
@@ -125,8 +296,112 @@ FeasibilityReport check_feasible(const geom::LinkView& links,
       report.worst_link = a;
     }
   }
+}
+
+/// The same loads on linear values (k >= 2, no shared node): one gather,
+/// one exp2 per link for p_b = 2^(log2 P_b - max log2 P), and
+///   load_a = beta * (interference_row(a) / p_a) + noise_a
+/// with noise_a = (beta * N / max P) * (l_a^alpha / p_a). Returns false,
+/// with the report untouched, when a gain entry, p_b, a row sum, a noise
+/// factor or a load leaves [kLinearMin, kLinearMax].
+///
+/// The rows stay on the calling thread. Split over util::parallel_for
+/// (helpers asleep 0.2 or 2 ms before each call, as between a churn epoch's
+/// oracle calls), sets of 96 to 1081 links from an oblivious n = 8192 plan
+/// ran 0.91-1.21x the serial time on a 4-vCPU x86-64 host, never clearly
+/// faster: a pass stores nothing, so a row costs about 3 ns per link and
+/// the helpers took at most 8% of the rows.
+bool linear_loads(const geom::LinkView& links,
+                  std::span<const std::size_t> set, const SinrParams& params,
+                  const PowerAssignment& power, FeasibilityReport& report) {
+  const GainPower gain(params.alpha);
+  if (gain.uses_pow()) return false;
+  const std::size_t k = set.size();
+  std::vector<double> p(k);
+  double max_log2_power = -kInf;
+  for (std::size_t a = 0; a < k; ++a) {
+    p[a] = power.log2_power(set[a]);
+    max_log2_power = std::max(max_log2_power, p[a]);
+  }
+  for (double& pa : p) {
+    pa = std::exp2(pa - max_log2_power);
+    if (!in_linear_range(pa)) return false;
+  }
+  double noise_scale = 0.0;
+  if (params.noise > 0.0) {
+    noise_scale = std::exp2(std::log2(params.beta) + std::log2(params.noise) -
+                            max_log2_power);
+    if (!in_linear_range(noise_scale)) return false;
+  }
+  const LinkColumns columns(links, set);
+  double max_load = 0.0;
+  std::size_t worst_link = k;
+  for (std::size_t a = 0; a < k; ++a) {
+    bool in_range = true;
+    const double sum = interference_row(columns, gain, p.data(), a, in_range);
+    double load = params.beta * (sum / p[a]);
+    if (noise_scale > 0.0) {
+      const double own = gain(columns.len2[a]);
+      const double noise = noise_scale * (own / p[a]);
+      in_range &= in_linear_range(own) & in_linear_range(noise);
+      load += noise;
+    }
+    if (!(in_range & in_linear_range(sum) & in_linear_range(load))) {
+      return false;
+    }
+    if (load > max_load) {
+      max_load = load;
+      worst_link = a;
+    }
+  }
+  report.max_load = max_load;
+  report.worst_link = worst_link;
+  return true;
+}
+
+FeasibilityReport fixed_power_check(const geom::LinkView& links,
+                                    std::span<const std::size_t> set,
+                                    const SinrParams& params,
+                                    const PowerAssignment& power,
+                                    double tolerance, bool linear) {
+  params.validate();
+  FeasibilityReport report;
+  report.worst_link = set.size();
+  if (set.empty()) {
+    report.feasible = true;
+    return report;
+  }
+  if (has_shared_node(links, set)) {
+    report.shared_node = true;
+    report.feasible = false;
+    report.max_load = kInf;
+    return report;
+  }
+  count_gain_entries(set.size());
+  if (!(linear && set.size() >= 2 &&
+        linear_loads(links, set, params, power, report))) {
+    log2_loads(links, set, params, power, report);
+  }
   report.feasible = report.max_load <= 1.0 + tolerance;
   return report;
+}
+
+}  // namespace
+
+FeasibilityReport check_feasible(const geom::LinkView& links,
+                                 std::span<const std::size_t> set,
+                                 const SinrParams& params,
+                                 const PowerAssignment& power,
+                                 double tolerance) {
+  return fixed_power_check(links, set, params, power, tolerance, true);
+}
+
+FeasibilityReport check_feasible_log2(const geom::LinkView& links,
+                                      std::span<const std::size_t> set,
+                                      const SinrParams& params,
+                                      const PowerAssignment& power,
+                                      double tolerance) {
+  return fixed_power_check(links, set, params, power, tolerance, false);
 }
 
 bool is_feasible(const geom::LinkView& links, std::span<const std::size_t> set,
@@ -143,6 +418,7 @@ std::vector<double> log2_gain_matrix(const geom::LinkView& links,
                                      std::span<const std::size_t> set,
                                      const SinrParams& params) {
   const std::size_t k = set.size();
+  count_gain_entries(k);
   const double log2_beta = std::log2(params.beta);
   std::vector<double> m(k * k, -kInf);
   for (std::size_t a = 0; a < k; ++a) {
@@ -158,149 +434,6 @@ std::vector<double> log2_gain_matrix(const geom::LinkView& links,
     }
   }
   return m;
-}
-
-// The linear kernel keeps every gain entry and every normalized iterate in
-// [2^-900, 2^900]. Products of two such values and sums of fewer than 2^100
-// of them then stay far from overflow. A product that underflows is below
-// 2^-1022 while every row sum is at least 2^-900, so each sum keeps full
-// relative precision. Sets outside the window go to the log-space kernel.
-constexpr double kLinearMin = 0x1p-900;
-constexpr double kLinearMax = 0x1p+900;
-
-/// x^(alpha/2) for the squared gain ratio x = l^2 / d^2. When q = 2 * alpha
-/// is an integer (alpha <= 16), x^(q/4) is x^(q div 4), times sqrt(x) if q
-/// has bit 1 set, times x^(1/4) if q has bit 0 set: multiplies and at most
-/// two square roots, one at alpha = 3. Otherwise std::pow.
-class GainPower {
- public:
-  explicit GainPower(double alpha)
-      : quarters_(alpha <= 16.0 && 2.0 * alpha == std::round(2.0 * alpha)
-                      ? static_cast<int>(2.0 * alpha)
-                      : -1),
-        half_alpha_(0.5 * alpha) {}
-
-  [[nodiscard]] bool uses_pow() const noexcept { return quarters_ < 0; }
-
-  [[nodiscard]] double operator()(double x) const {
-    if (quarters_ < 0) return std::pow(x, half_alpha_);
-    double v = (quarters_ & 2) != 0 ? std::sqrt(x) : 1.0;
-    if ((quarters_ & 1) != 0) v *= std::sqrt(std::sqrt(x));
-    for (int i = 0; i < quarters_ / 4; ++i) v *= x;
-    return v;
-  }
-
-#if defined(__SSE2__)
-  /// The scalar operator on two lanes (!uses_pow() only): the same
-  /// correctly rounded square roots and multiplies in the same order, so
-  /// each lane is bit-identical to it.
-  [[nodiscard]] __m128d operator()(__m128d x) const {
-    __m128d v = (quarters_ & 2) != 0 ? _mm_sqrt_pd(x) : _mm_set1_pd(1.0);
-    if ((quarters_ & 1) != 0) v = _mm_mul_pd(v, _mm_sqrt_pd(_mm_sqrt_pd(x)));
-    for (int i = 0; i < quarters_ / 4; ++i) v = _mm_mul_pd(v, x);
-    return v;
-  }
-#endif
-
- private:
-  int quarters_;  ///< 2 * alpha, or -1 when pow is needed
-  double half_alpha_;
-};
-
-/// Sets with at least this many links split their rows over
-/// util::parallel_for; smaller ones stay on the calling thread. On a 4-vCPU
-/// x86-64 host at alpha = 3, with the helpers asleep before each call (as
-/// between a churn epoch's oracle calls), the split loses at 192 links and
-/// wins from 224 on. The serving runtime's n = 256 sessions stay below it.
-constexpr std::size_t kParallelMinLinks = 256;
-
-/// Consecutive rows a thread claims at once.
-constexpr std::size_t kRowGrain = 8;
-
-/// Rows handed to util::parallel_for, and how many of them helpers ran:
-/// an epoch whose helpers never woke shows a helper share near zero.
-struct RowMetrics {
-  obs::Registry& reg = obs::Registry::global();
-  obs::Counter& rows = reg.counter("sinr.parallel_rows");
-  obs::Counter& helper_rows = reg.counter("sinr.parallel_helper_rows");
-};
-
-RowMetrics& row_metrics() {
-  static RowMetrics metrics;
-  return metrics;
-}
-
-/// Runs row(a) once for every a in [0, k): split over the helper pool from
-/// kParallelMinLinks links on, serially below. Each row runs on exactly one
-/// thread with the same operations, so the split cannot change a bit.
-template <class RowFn>
-void for_each_row(std::size_t k, const RowFn& row) {
-  if (k < kParallelMinLinks) {
-    for (std::size_t a = 0; a < k; ++a) row(a);
-    return;
-  }
-  const std::size_t helper_rows = util::parallel_for(k, kRowGrain, row);
-  row_metrics().rows.add(k);
-  row_metrics().helper_rows.add(helper_rows);
-}
-
-/// The gathered endpoint columns of a set: sender x/y, receiver x/y and
-/// squared length per link.
-struct LinkColumns {
-  std::size_t k = 0;
-  const double* sx = nullptr;
-  const double* sy = nullptr;
-  const double* rx = nullptr;
-  const double* ry = nullptr;
-  const double* len2 = nullptr;
-};
-
-/// Fills row a of M, entries beta * gain(l_a^2 / d_ba^2) with a zero
-/// diagonal, and returns the row's left-to-right sum; clears `in_range`
-/// when an entry leaves [kLinearMin, kLinearMax]. Under SSE2 two entries
-/// are formed at a time with correctly rounded subtract, multiply, divide
-/// and square root, which round every lane exactly as the scalar loop
-/// does; the sum still adds one entry at a time, in order.
-double fill_row(const LinkColumns& c, const GainPower& gain, double beta,
-                std::size_t a, double* row, bool& in_range) {
-  const double rxa = c.rx[a], rya = c.ry[a], len2a = c.len2[a];
-  double sum = 0.0;
-  const auto fill = [&](std::size_t b0, std::size_t b1) {
-    std::size_t b = b0;
-#if defined(__SSE2__)
-    if (!gain.uses_pow()) {
-      const __m128d vrx = _mm_set1_pd(rxa), vry = _mm_set1_pd(rya);
-      const __m128d vlen2 = _mm_set1_pd(len2a), vbeta = _mm_set1_pd(beta);
-      const __m128d vmin = _mm_set1_pd(kLinearMin);
-      const __m128d vmax = _mm_set1_pd(kLinearMax);
-      __m128d ok = _mm_castsi128_pd(_mm_set1_epi64x(-1));  // both lanes
-      for (; b + 2 <= b1; b += 2) {
-        const __m128d dx = _mm_sub_pd(_mm_loadu_pd(c.sx + b), vrx);
-        const __m128d dy = _mm_sub_pd(_mm_loadu_pd(c.sy + b), vry);
-        const __m128d d2 = _mm_add_pd(_mm_mul_pd(dx, dx), _mm_mul_pd(dy, dy));
-        const __m128d v = _mm_mul_pd(vbeta, gain(_mm_div_pd(vlen2, d2)));
-        ok = _mm_and_pd(ok, _mm_and_pd(_mm_cmpge_pd(v, vmin),
-                                       _mm_cmple_pd(v, vmax)));
-        _mm_storeu_pd(row + b, v);
-        sum += row[b];
-        sum += row[b + 1];
-      }
-      in_range &= _mm_movemask_pd(ok) == 3;
-    }
-#endif
-    for (; b < b1; ++b) {
-      const double dx = c.sx[b] - rxa;
-      const double dy = c.sy[b] - rya;
-      const double v = beta * gain(len2a / (dx * dx + dy * dy));
-      in_range &= (v >= kLinearMin) & (v <= kLinearMax);
-      row[b] = v;
-      sum += v;
-    }
-  };
-  fill(0, a);
-  row[a] = 0.0;
-  fill(a + 1, c.k);
-  return sum;
 }
 
 /// Sum of a[i] * x[i] with four accumulators, so the adds pipeline.
@@ -333,24 +466,8 @@ std::optional<PowerControlResult> power_control_linear(
     const geom::LinkView& links, std::span<const std::size_t> set,
     const SinrParams& params, const PowerControlOptions& options) {
   const std::size_t k = set.size();
-  // Sender x/y, receiver x/y and squared length of each link, gathered once.
-  std::vector<double> cols(5 * k);
-  double* const sx = cols.data();
-  double* const sy = sx + k;
-  double* const rx = sy + k;
-  double* const ry = rx + k;
-  double* const len2 = ry + k;
-  for (std::size_t a = 0; a < k; ++a) {
-    const geom::Point& s = links.sender_pos(set[a]);
-    const geom::Point& r = links.receiver_pos(set[a]);
-    sx[a] = s.x;
-    sy[a] = s.y;
-    rx[a] = r.x;
-    ry[a] = r.y;
-    const double len = links.length(set[a]);
-    len2[a] = len * len;
-  }
-  const LinkColumns columns{k, sx, sy, rx, ry, len2};
+  const LinkColumns columns(links, set);
+  count_gain_entries(k);
 
   // M_ab = beta * (l_a^2 / d_ba^2)^(alpha/2), row-major, zero diagonal. The
   // build also yields M * (all ones), the first iteration's product.

@@ -1,9 +1,14 @@
 #ifndef WAGG_SINR_FEASIBILITY_H
 #define WAGG_SINR_FEASIBILITY_H
 
+#include <cmath>
 #include <cstddef>
 #include <span>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "geom/linkset.h"
 #include "sinr/model.h"
@@ -25,6 +30,71 @@ namespace wagg::sinr {
 [[nodiscard]] bool has_shared_node(const geom::LinkView& links,
                                    std::span<const std::size_t> set);
 
+/// The window of the linear gain kernels. Every gain entry, normalized power
+/// and row sum they form stays in [kLinearMin, kLinearMax]: products of two
+/// such values and sums of fewer than 2^100 of them then stay far from
+/// overflow, and a product that underflows (below 2^-1022) cannot cost a
+/// row sum of at least 2^-900 its relative precision. Values outside go to
+/// the log-space kernels.
+inline constexpr double kLinearMin = 0x1p-900;
+inline constexpr double kLinearMax = 0x1p+900;
+
+[[nodiscard]] inline bool in_linear_range(double v) noexcept {
+  return (v >= kLinearMin) & (v <= kLinearMax);
+}
+
+/// x^(alpha/2) for the squared gain ratio x = l^2 / d^2. When q = 2 * alpha
+/// is an integer (alpha <= 16), x^(q/4) is x^(q div 4), times sqrt(x) if q
+/// has bit 1 set, times x^(1/4) if q has bit 0 set: multiplies and at most
+/// two square roots, one at alpha = 3. Otherwise std::pow.
+class GainPower {
+ public:
+  explicit GainPower(double alpha)
+      : quarters_(alpha <= 16.0 && 2.0 * alpha == std::round(2.0 * alpha)
+                      ? static_cast<int>(2.0 * alpha)
+                      : -1),
+        half_alpha_(0.5 * alpha) {}
+
+  [[nodiscard]] bool uses_pow() const noexcept { return quarters_ < 0; }
+
+  [[nodiscard]] double operator()(double x) const {
+    if (quarters_ < 0) return std::pow(x, half_alpha_);
+    double v = (quarters_ & 2) != 0 ? std::sqrt(x) : 1.0;
+    if ((quarters_ & 1) != 0) v *= std::sqrt(std::sqrt(x));
+    for (int i = 0; i < quarters_ / 4; ++i) v *= x;
+    return v;
+  }
+
+#if defined(__SSE2__)
+  /// The scalar operator on two lanes (!uses_pow() only): the same
+  /// correctly rounded square roots and multiplies in the same order, so
+  /// each lane is bit-identical to it.
+  [[nodiscard]] __m128d operator()(__m128d x) const {
+    __m128d v = (quarters_ & 2) != 0 ? _mm_sqrt_pd(x) : _mm_set1_pd(1.0);
+    if ((quarters_ & 1) != 0) v = _mm_mul_pd(v, _mm_sqrt_pd(_mm_sqrt_pd(x)));
+    for (int i = 0; i < quarters_ / 4; ++i) v = _mm_mul_pd(v, x);
+    return v;
+  }
+#endif
+
+ private:
+  int quarters_;  ///< 2 * alpha, or -1 when pow is needed
+  double half_alpha_;
+};
+
+/// The linear kernels' gain entry: (l^2 / d^2)^(alpha/2) for a receiver at
+/// (rx, ry) on a link of squared length len2 and a sender at (sx, sy).
+/// Power control's matrix, the fixed-power check and the running-load join
+/// all form their entries here (or in its two-lane twin), so the power
+/// families cannot drift apart.
+[[nodiscard]] inline double gain_entry(const GainPower& gain, double rx,
+                                       double ry, double len2, double sx,
+                                       double sy) {
+  const double dx = sx - rx;
+  const double dy = sy - ry;
+  return gain(len2 / (dx * dx + dy * dy));
+}
+
 /// Result of an exact slot-feasibility check.
 struct FeasibilityReport {
   bool feasible = false;
@@ -39,7 +109,33 @@ struct FeasibilityReport {
 /// Exact SINR feasibility of a set of links under a fixed power assignment.
 /// `tolerance` loosens the SINR comparison multiplicatively to absorb
 /// floating-point noise (load <= 1 + tolerance passes).
+///
+/// A set of k >= 2 links without a shared node is checked in one pass over
+/// the linear gain formula that power control's matrix uses: the endpoint
+/// coordinates, squared lengths and normalized powers
+/// p_b = 2^(log2 P_b - max log2 P) are gathered once (one exp2 per link),
+/// and each row sums p_b * (l_a^2 / d_ba^2)^(alpha/2) two entries at a time
+/// with SSE2 into two lane accumulators, so
+///   load_a = beta * (sum_b p_b g_ba) / p_a  (+ beta * N * l_a^alpha / P_a).
+/// No matrix is stored. Every gain entry, normalized power, row sum and
+/// load must lie in [kLinearMin, kLinearMax]; a set that leaves the window
+/// (d = 0, doubly-exponential chains, extreme power ratios), a set whose
+/// 2 * alpha is not an integer (std::pow per entry measured slower than
+/// the log-space loop) and k <= 1 run check_feasible_log2's loop from
+/// scratch instead, and report exactly what it reports. The pass runs on
+/// the calling thread (split over the helper pool it measured no faster),
+/// summing each row in a fixed order, so the report does not depend on the
+/// core count. Safe to call from several threads at once.
 [[nodiscard]] FeasibilityReport check_feasible(
+    const geom::LinkView& links, std::span<const std::size_t> set,
+    const SinrParams& params, const PowerAssignment& power,
+    double tolerance = 1e-9);
+
+/// The log-space check: the same loads, each row summed in log2 space
+/// (log-sum-exp) with a log2 and an exp2 per entry, so no length or power
+/// ratio can overflow. check_feasible falls back to it outside the linear
+/// window; tests use it as the reference for the linear pass.
+[[nodiscard]] FeasibilityReport check_feasible_log2(
     const geom::LinkView& links, std::span<const std::size_t> set,
     const SinrParams& params, const PowerAssignment& power,
     double tolerance = 1e-9);

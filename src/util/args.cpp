@@ -37,28 +37,43 @@ std::string Args::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// parse(text, &consumed) on the whole of `text`. A value with no leading
+/// number, with trailing characters or out of range throws one
+/// std::invalid_argument that names the flag and the value.
+template <class Parse>
+auto parse_whole(const std::string& key, const std::string& text,
+                 const char* what, Parse parse) {
+  std::size_t consumed = 0;
+  try {
+    const auto value = parse(text, &consumed);
+    if (consumed == text.size()) return value;
+  } catch (const std::logic_error&) {
+    // std::invalid_argument or std::out_of_range from stod / stoll.
+  }
+  throw std::invalid_argument("Args: --" + key + " is not " + what + ": " +
+                              text);
+}
+
+}  // namespace
+
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  std::size_t consumed = 0;
-  const double value = std::stod(it->second, &consumed);
-  if (consumed != it->second.size()) {
-    throw std::invalid_argument("Args: --" + key + " is not a number: " +
-                                it->second);
-  }
-  return value;
+  return parse_whole(key, it->second, "a number",
+                     [](const std::string& text, std::size_t* consumed) {
+                       return std::stod(text, consumed);
+                     });
 }
 
 long long Args::get_int(const std::string& key, long long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  std::size_t consumed = 0;
-  const long long value = std::stoll(it->second, &consumed);
-  if (consumed != it->second.size()) {
-    throw std::invalid_argument("Args: --" + key + " is not an integer: " +
-                                it->second);
-  }
-  return value;
+  return parse_whole(key, it->second, "an integer",
+                     [](const std::string& text, std::size_t* consumed) {
+                       return std::stoll(text, consumed);
+                     });
 }
 
 }  // namespace wagg::util

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -11,6 +12,7 @@
 #include "instance/basic.h"
 #include "instance/special.h"
 #include "mst/tree.h"
+#include "obs/metrics.h"
 #include "schedule/repair.h"
 #include "schedule/schedule.h"
 #include "schedule/verify.h"
@@ -765,6 +767,35 @@ TEST(OnePacker, InfeasibleSingletonReachesEveryCaller) {
     EXPECT_TRUE(is_partition(packed, links.size()));
     EXPECT_EQ(packed.slots.front(), (std::vector<std::size_t>{2}));
   }
+}
+
+TEST(OnePacker, RunningLoadJoinCountsTwoGainEntriesPerMember) {
+  // A join forms two terms per member, the newcomer's on the member and the
+  // member's on it; members that arrive without loads first form their
+  // k(k - 1) terms. The loads a join keeps are the whole-slot check's.
+  geom::Pointset pts;
+  std::vector<geom::Link> parallel;
+  for (int i = 0; i < 5; ++i) {
+    pts.push_back({30.0 * i, 0.0});
+    pts.push_back({30.0 * i + 0.5, 1.0 + 0.25 * i});
+    parallel.push_back(geom::Link{2 * i, 2 * i + 1});
+  }
+  const geom::LinkSet links(pts, parallel);
+  auto prm = params(3.0, 1.0);
+  prm.noise = 1e-4;
+  const auto power = sinr::oblivious_power(links, 0.5, prm);
+  const auto rule = JoinRule::running_loads(links, prm, power);
+  obs::Counter& entries = obs::Registry::global().counter("sinr.gain_entries");
+  SlotLoad slot{.members = {0, 1, 2}};
+  std::uint64_t before = entries.value();
+  ASSERT_TRUE(rule.admit(slot, 3));
+  EXPECT_EQ(entries.value() - before, 3u * 2u + 2u * 3u);
+  before = entries.value();
+  ASSERT_TRUE(rule.admit(slot, 4));
+  EXPECT_EQ(entries.value() - before, 2u * 4u);
+  const auto whole = sinr::check_feasible(links, slot.members, prm, power);
+  const double max_load = *std::max_element(slot.load.begin(), slot.load.end());
+  EXPECT_NEAR(max_load, whole.max_load, 1e-12 * whole.max_load);
 }
 
 TEST(OnePacker, LevelScheduleCertifiesEveryLevelUnderNoise) {

@@ -6,8 +6,10 @@
 #include <cstddef>
 #include <iterator>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "core/planner.h"
@@ -22,6 +24,7 @@
 #include "sinr/model.h"
 #include "sinr/power.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace wagg::sinr {
 namespace {
@@ -169,6 +172,230 @@ TEST(Feasibility, EmptyAndSingleton) {
   EXPECT_TRUE(is_feasible(ls, {}, params(), p));
   const std::vector<std::size_t> solo{0};
   EXPECT_TRUE(is_feasible(ls, solo, params(), p));
+}
+
+/// Up to k links with no shared node, picked in a seeded random order.
+std::vector<std::size_t> disjoint_links(const geom::LinkView& links,
+                                        std::size_t k, util::Rng& rng) {
+  std::vector<std::size_t> order(links.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+  std::unordered_set<std::int32_t> used;
+  std::vector<std::size_t> picked;
+  for (const std::size_t i : order) {
+    if (picked.size() == k) break;
+    const auto& link = links.link(i);
+    if (used.count(link.sender) || used.count(link.receiver)) continue;
+    used.insert(link.sender);
+    used.insert(link.receiver);
+    picked.push_back(i);
+  }
+  return picked;
+}
+
+bool same_report(const FeasibilityReport& a, const FeasibilityReport& b) {
+  return a.feasible == b.feasible && a.max_load == b.max_load &&
+         a.worst_link == b.worst_link && a.shared_node == b.shared_node;
+}
+
+TEST(FixedPower, LinearPassAgreesWithLogSpaceCheck) {
+  // check_feasible's linear pass against the log-space loop on random sets
+  // of 1 to 600 links without a shared node: three families; uniform,
+  // linear and oblivious (tau 0.25, 0.5, 0.75) power and a power-control
+  // vector; alpha 3, 2.5 and 4 (one, two and no square roots per entry)
+  // and 3.3 (std::pow, which takes the log-space loop); noise 0 and 1e-6.
+  // beta is scaled so that the reference's max load lands in [0.5, 2], so
+  // both verdicts occur.
+  util::Rng rng(17);
+  std::size_t accepts = 0, rejects = 0, linear_runs = 0;
+  for (const char* family : {"uniform", "cluster", "annulus"}) {
+    const auto tree = mst::mst_tree(workload::make_family(family, 2000, 5), 0);
+    const auto& links = tree.links;
+    core::PlannerConfig global;
+    global.power_mode = core::PowerMode::kGlobal;
+    const auto solved = core::schedule_links(links, global).power;
+    for (const double alpha : {3.0, 2.5, 4.0, 3.3}) {
+      for (const double noise : {0.0, 1e-6}) {
+        const auto prm = params(alpha, 1.0, noise);
+        const std::vector<PowerAssignment> powers = {
+            uniform_power(links, prm),          linear_power(links, prm),
+            oblivious_power(links, 0.25, prm),  oblivious_power(links, 0.5, prm),
+            oblivious_power(links, 0.75, prm),  solved};
+        std::vector<std::size_t> sizes = {1, 2, 3, 4 + rng.below(60),
+                                          64 + rng.below(240)};
+        if (alpha == 3.0) sizes.push_back(600);
+        for (const auto& power : powers) {
+          for (const std::size_t k : sizes) {
+            const auto set = disjoint_links(links, k, rng);
+            ASSERT_EQ(set.size(), k) << family;
+            auto scaled = prm;
+            const double unit = check_feasible_log2(links, set, prm, power)
+                                    .max_load;
+            if (unit > 0.0) scaled.beta = std::exp2(rng.uniform(-1, 1)) / unit;
+            const auto ref = check_feasible_log2(links, set, scaled, power);
+            const auto got = check_feasible(links, set, scaled, power);
+            const std::string where = std::string(family) + " alpha " +
+                                      std::to_string(alpha) + " noise " +
+                                      std::to_string(noise) + " " +
+                                      power.description() + " k=" +
+                                      std::to_string(k);
+            ASSERT_EQ(got.feasible, ref.feasible) << where;
+            EXPECT_LE(std::abs(got.max_load - ref.max_load),
+                      1e-12 * ref.max_load)
+                << where;
+            if (alpha == 3.3 || k == 1) {
+              EXPECT_TRUE(same_report(got, ref)) << where;
+            } else if (!same_report(got, ref)) {
+              ++linear_runs;
+            }
+            (ref.feasible ? accepts : rejects) += 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(accepts, 100u);
+  EXPECT_GE(rejects, 100u);
+  // The paths round differently, so reports that match to the last bit
+  // everywhere would mean the linear pass never ran.
+  EXPECT_GE(linear_runs, 100u);
+}
+
+TEST(FixedPower, VerdictsAgreeJustOutsideTheRoundingWindow) {
+  // The two paths form the same loads with different roundings: they
+  // differ by at most ~3e-15 relative on the plans' slots and by at most
+  // 1e-12 in the test above. Their verdicts may therefore differ only when
+  // the reference's max load lies within 1e-12 (relative) of
+  // 1 + tolerance. Just outside that window, at
+  // (1 + tolerance) * (1 -+ 1e-11), they must agree.
+  util::Rng rng(23);
+  const double tolerance = 1e-9;
+  const auto tree = mst::mst_tree(workload::make_family("uniform", 1400, 9), 0);
+  const auto& links = tree.links;
+  std::size_t checked = 0;
+  for (const double noise : {0.0, 1e-6}) {
+    const auto prm = params(3.0, 1.0, noise);
+    for (const auto& power :
+         {oblivious_power(links, 0.5, prm), uniform_power(links, prm)}) {
+      for (const std::size_t k : {2, 40, 300}) {
+        const auto set = disjoint_links(links, k, rng);
+        const double unit =
+            check_feasible_log2(links, set, prm, power, tolerance).max_load;
+        for (const double side : {-1.0, 1.0}) {
+          auto scaled = prm;
+          scaled.beta = (1.0 + tolerance) * (1.0 + side * 1e-11) / unit;
+          const auto ref =
+              check_feasible_log2(links, set, scaled, power, tolerance);
+          const auto got = check_feasible(links, set, scaled, power, tolerance);
+          ASSERT_EQ(ref.feasible, side < 0.0) << "k=" << k;
+          EXPECT_EQ(got.feasible, ref.feasible)
+              << "k=" << k << " noise " << noise << " side " << side
+              << " loads " << got.max_load << " vs " << ref.max_load;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 24u);
+}
+
+TEST(FixedPower, OutOfRangeSetsTakeTheLogSpaceCheck) {
+  // d = 0: the sender of link 1 sits on the receiver of link 0 (distinct
+  // nodes, same position). Its entry is infinite, so the set runs the
+  // log-space loop and reports an infinite load, as it always did.
+  {
+    const geom::Pointset pts{{0, 0}, {1, 0}, {1, 0}, {2, 0}, {50, 50},
+                             {51, 50}};
+    const geom::LinkSet ls(pts, {geom::Link{0, 1}, geom::Link{2, 3},
+                                 geom::Link{4, 5}});
+    const std::vector<std::size_t> all{0, 1, 2};
+    for (const double noise : {0.0, 1e-6}) {
+      const auto prm = params(3.0, 1.0, noise);
+      const auto power = uniform_power(ls, prm);
+      const auto got = check_feasible(ls, all, prm, power);
+      EXPECT_TRUE(same_report(got, check_feasible_log2(ls, all, prm, power)));
+      EXPECT_FALSE(got.feasible);
+      EXPECT_EQ(got.max_load, std::numeric_limits<double>::infinity());
+      EXPECT_EQ(got.worst_link, 0u);
+    }
+  }
+
+  // Sec 4's doubly-exponential chain, every other MST link: length ratios
+  // of 2^256 and more put entries and powers far outside the window.
+  {
+    const auto prm = params(3.0, 1.0);
+    const auto n = instance::max_doubly_exponential_size(0.5, 3.0, 1.0);
+    const auto chain = instance::doubly_exponential_chain(n, 0.5, 3.0, 1.0);
+    const auto tree = mst::mst_tree(chain.points, 0);
+    std::vector<std::size_t> alternate;
+    for (std::size_t i = 0; i < tree.links.size(); i += 2) {
+      alternate.push_back(i);
+    }
+    ASSERT_GE(alternate.size(), 3u);
+    for (const auto& power :
+         {uniform_power(tree.links, prm), linear_power(tree.links, prm),
+          oblivious_power(tree.links, 0.5, prm)}) {
+      EXPECT_TRUE(same_report(
+          check_feasible(tree.links, alternate, prm, power),
+          check_feasible_log2(tree.links, alternate, prm, power)))
+          << power.description();
+    }
+  }
+
+  // Shared-node, empty and singleton sets report what they always did.
+  {
+    const geom::Pointset pts{{0, 0}, {1, 0}, {2, 0}, {9, 9}, {9, 10}};
+    const geom::LinkSet ls(pts, {geom::Link{0, 1}, geom::Link{1, 2},
+                                 geom::Link{3, 4}});
+    for (const double noise : {0.0, 1e-6}) {
+      const auto prm = params(3.0, 1.0, noise);
+      const auto power = uniform_power(ls, prm);
+      const auto expect_unchanged = [&](const std::vector<std::size_t>& set) {
+        const auto got = check_feasible(ls, set, prm, power);
+        EXPECT_TRUE(same_report(got, check_feasible_log2(ls, set, prm, power)))
+            << "k=" << set.size() << " noise " << noise;
+        return got;
+      };
+      const auto shared = expect_unchanged({0, 1, 2});
+      EXPECT_TRUE(shared.shared_node);
+      EXPECT_FALSE(shared.feasible);
+      EXPECT_EQ(shared.max_load, std::numeric_limits<double>::infinity());
+      EXPECT_EQ(shared.worst_link, 3u);
+      const auto empty = expect_unchanged({});
+      EXPECT_TRUE(empty.feasible);
+      EXPECT_EQ(empty.max_load, 0.0);
+      EXPECT_EQ(empty.worst_link, 0u);
+      const auto solo = expect_unchanged({2});
+      EXPECT_TRUE(solo.feasible);
+      EXPECT_EQ(solo.worst_link, noise > 0.0 ? 0u : 1u);
+      EXPECT_EQ(solo.max_load > 0.0, noise > 0.0);
+    }
+  }
+}
+
+TEST(FixedPower, CountsGainEntries) {
+  // sinr.gain_entries counts the terms a check forms: k(k - 1) for a set
+  // of k links, whichever path runs, and none for a shared-node set.
+  obs::Counter& entries = obs::Registry::global().counter("sinr.gain_entries");
+  util::Rng rng(5);
+  const auto tree = mst::mst_tree(workload::make_family("uniform", 300, 2), 0);
+  const auto set = disjoint_links(tree.links, 37, rng);
+  ASSERT_EQ(set.size(), 37u);
+  for (const double alpha : {3.0, 3.3}) {
+    const auto prm = params(alpha, 1.0);
+    const auto power = oblivious_power(tree.links, 0.5, prm);
+    const std::uint64_t before = entries.value();
+    (void)check_feasible(tree.links, set, prm, power);
+    EXPECT_EQ(entries.value() - before, 37u * 36u) << "alpha " << alpha;
+  }
+  const std::vector<std::size_t> shared{0, 1, 2, 3};
+  const auto prm = params();
+  ASSERT_TRUE(has_shared_node(tree.links, shared));
+  const std::uint64_t before = entries.value();
+  (void)check_feasible(tree.links, shared, prm, uniform_power(tree.links, prm));
+  EXPECT_EQ(entries.value(), before);
 }
 
 TEST(PowerControl, PairSpectralRadiusExact) {

@@ -259,12 +259,30 @@ TEST(Args, UnknownFlagThrowsWithItsName) {
 }
 
 TEST(Args, NumericValidation) {
-  const char* argv[] = {"prog", "--alpha=3.5", "--bad=3x"};
-  const Args args(3, argv, {"alpha", "bad"});
+  const char* argv[] = {"prog", "--alpha=3.5", "--bad=3x", "--n=abc",
+                        "--rate=x", "--big=99999999999999999999999"};
+  const Args args(6, argv, {"alpha", "bad", "n", "rate", "big"});
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 3.5);
   EXPECT_DOUBLE_EQ(args.get_double("missing", 2.5), 2.5);
   EXPECT_THROW((void)args.get_double("bad", 0.0), std::invalid_argument);
   EXPECT_THROW((void)args.get_int("alpha", 0), std::invalid_argument);
+  // No leading number and out of range: the message names the flag and
+  // the value, not the std::stoll / std::stod that threw.
+  const auto message = [](const auto& read) {
+    try {
+      (void)read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([&] { return args.get_int("n", 0); }),
+            "Args: --n is not an integer: abc");
+  EXPECT_EQ(message([&] { return args.get_double("rate", 0.0); }),
+            "Args: --rate is not a number: x");
+  EXPECT_EQ(message([&] { return args.get_int("big", 0); }),
+            "Args: --big is not an integer: 99999999999999999999999");
+  EXPECT_EQ(message([&] { return args.get_double("big", 0.0); }), "no throw");
 }
 
 TEST(ParallelFor, PoolHasOneHelperPerOtherCore) {

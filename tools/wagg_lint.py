@@ -64,6 +64,15 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 the slot's last accepted check left, so no other layer may
                 solve a slot again behind the packer's back.
 
+  log-space     sinr::check_feasible_log2 and power_control_feasible_log2
+                are called in src/ only from sinr/, where they are the
+                fallbacks of the linear gain kernels for sets outside the
+                [2^-900, 2^900] window. Everywhere else they would put a
+                log2 and an exp2 per gain entry back on a hot path; tests
+                call them as the kernels' references. A call to
+                power_control_feasible_log2 outside sinr/ and schedule/
+                draws this finding and a power-solve one.
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -233,6 +242,10 @@ THREAD_POOL_FILES = ("util/parallel", "runtime/executor")
 POWER_SOLVE_RE = re.compile(r"\bpower_control_feasible(?:_log2)?\b")
 # Directories (under src/) that may solve a slot's power vector.
 POWER_SOLVE_DIRS = ("sinr/", "schedule/")
+LOG_SPACE_RE = re.compile(
+    r"\b(?:check_feasible|power_control_feasible)_log2\b")
+# Directories (under src/) that may run the log-space kernels.
+LOG_SPACE_DIRS = ("sinr/",)
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -253,6 +266,7 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
     owns_threads = (relpath.removeprefix("src/").rsplit(".", 1)[0]
                     in THREAD_POOL_FILES)
     may_solve = relpath.removeprefix("src/").startswith(POWER_SOLVE_DIRS)
+    may_log_space = relpath.removeprefix("src/").startswith(LOG_SPACE_DIRS)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -303,11 +317,17 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                    "slot power solve outside sinr/ and schedule/: read the "
                    "certificate the packer's join rule kept (SlotLoad, "
                    "PatchResult::log2_powers, the stitched assignment)")
+        if not may_log_space and LOG_SPACE_RE.search(line):
+            report(idx, "log-space",
+                   "log-space kernel outside sinr/: call check_feasible / "
+                   "power_control_feasible, which fall back to it only "
+                   "outside the linear window")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
-             "class-grid", "stage-clock", "raw-thread", "power-solve"}
+             "class-grid", "stage-clock", "raw-thread", "power-solve",
+             "log-space"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
