@@ -166,13 +166,16 @@ ChurnRepeat run_churn_epochs(dynamic::DynamicPlanner& planner,
   return result;
 }
 
-/// Best-of-k from-scratch Prim wall clock — the per-epoch tree bill of a
-/// non-incremental engine, and the denominator of the portable mst_share.
+/// Best-of-k from-scratch dense Prim wall clock — the per-epoch tree bill
+/// of a non-incremental engine, and the denominator of the portable
+/// mst_share. It times the fixed O(n^2) reference, not euclidean_mst, so a
+/// faster seed builder moves no share, just as conflict_neighbors_bucketed
+/// stays conflict_share's denominator.
 double prim_baseline_ms(const geom::Pointset& points) {
   double best = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < 3; ++rep) {
     const auto start = util::Clock::now();
-    const auto edges = mst::euclidean_mst(points);
+    const auto edges = mst::dense_prim_mst(points);
     do_not_optimize(edges.size());
     best = std::min(best, util::ms_since(start));
   }

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "conflict/fgraph.h"
+#include "geom/point.h"
 #include "mst/tree.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -124,6 +125,7 @@ DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
   if (initial.size() < 2) {
     throw std::invalid_argument("DynamicPlanner: need >= 2 initial points");
   }
+  geom::require_finite(initial, "DynamicPlanner");
   if (options_.config.sink < 0 ||
       static_cast<std::size_t>(options_.config.sink) >= initial.size()) {
     throw std::invalid_argument("DynamicPlanner: sink out of range");
@@ -135,7 +137,7 @@ DynamicPlanner::DynamicPlanner(const geom::Pointset& initial,
   {
     obs::Span epoch_span("epoch");
     {
-      // The seed tree (an O(n^2) Prim) is epoch 0's mst_update stage.
+      // The seed tree (mst::euclidean_mst) is epoch 0's mst_update stage.
       obs::StageSpan stage(report.times.slot(Stage::kMstUpdate));
       mst_ = mst::IncrementalMst(initial);
       for (std::size_t id = 0; id < initial.size(); ++id) {
@@ -161,12 +163,13 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
 
   obs::Span epoch_span("epoch");
   obs::StageSpan mst_stage(report.times.slot(Stage::kMstUpdate));
-  // Past ~n/8 mutations one batch Prim beats per-mutation maintenance, so
-  // bulk epochs defer tree updates and rebuild once. The threshold rose
-  // with the dynamic-tree engine: per-update cost is now polylog plus the
-  // occasional component walk, so localized patching stays ahead of the
-  // n^2/2 rebuild for much denser mutation batches than the merge-Kruskal
-  // engine could absorb.
+  // Bulk epochs (>= n/8 mutations) defer tree updates and rebuild once
+  // with euclidean_mst. On uniform points with mixed add/remove/move churn,
+  // per-mutation upkeep costs 0.03 ms at n=2048 and 0.06-0.08 ms at
+  // n=8192, and one rebuild 4.8 ms and 21-24 ms: they cross near 140-170
+  // and 290-350 mutations (~0.04-0.08 n), below n/8. The threshold stays
+  // at n/8 all the same: moving it changes which epochs rebuild, and a
+  // rebuild can pick a different tree among equal-weight ones.
   const bool bulk =
       mutations.size() >= std::max<std::size_t>(8, mst_.num_alive() / 8);
   std::vector<NodeId> touched;
@@ -174,6 +177,16 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
   try {
     for (const auto& mutation : mutations) {
       if (mutation.kind != Mutation::Kind::kRemove) {
+        // A NaN or infinite coordinate has no grid cell and no distance.
+        if (!geom::is_finite(mutation.position)) {
+          throw std::invalid_argument(
+              std::string("DynamicPlanner: mutation ") +
+              (mutation.kind == Mutation::Kind::kAdd
+                   ? "adds a node"
+                   : "moves node " + std::to_string(mutation.node)) +
+              " at non-finite " +
+              geom::nonfinite_coordinate(mutation.position));
+        }
         // Two nodes on one point would make a zero-length tree link.
         const NodeId occupant = mst_.node_at(mutation.position);
         if (occupant >= 0 && (mutation.kind == Mutation::Kind::kAdd ||
@@ -224,7 +237,7 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
     // The tree must still be consistent for the next epoch: bulk epochs
     // postponed their updates entirely, and even a per-mutation update can
     // die partway through its in-place dtree/adjacency/grid edits — so
-    // rebuild unconditionally (error path; the O(n^2) Prim is immaterial).
+    // rebuild unconditionally (error path; one euclidean_mst is cheap).
     mst_.rebuild();
     throw;
   }

@@ -1,8 +1,26 @@
 #include "geom/point.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace wagg::geom {
+
+std::string nonfinite_coordinate(const Point& p) {
+  const bool x_bad = !std::isfinite(p.x);
+  const double value = x_bad ? p.x : p.y;
+  return std::string(x_bad ? "x = " : "y = ") +
+         (std::isnan(value) ? "nan" : value > 0 ? "inf" : "-inf");
+}
+
+void require_finite(const Pointset& points, const std::string& who) {
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!is_finite(points[i])) {
+      throw std::invalid_argument(who + ": point " + std::to_string(i) +
+                                  " has non-finite " +
+                                  nonfinite_coordinate(points[i]));
+    }
+  }
+}
 
 double min_pairwise_distance(const Pointset& points) {
   if (points.size() < 2) {

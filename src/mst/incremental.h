@@ -113,7 +113,7 @@ class IncrementalMst {
   /// rebuild() runs; interleaving deferred and immediate updates without a
   /// rebuild in between is a bug.
   /// Worth it for bulk epochs — once a batch mutates a sizable fraction of
-  /// the instance, one O(n^2) Prim beats per-mutation maintenance.
+  /// the instance, one euclidean_mst rebuild beats per-mutation maintenance.
   NodeId add_point_deferred(const geom::Point& position);
   void remove_point_deferred(NodeId id);
   void move_point_deferred(NodeId id, const geom::Point& position);

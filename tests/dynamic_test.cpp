@@ -32,7 +32,7 @@ double recomputed_weight(const mst::IncrementalMst& inc) {
   geom::Pointset points;
   for (const auto id : inc.alive_ids()) points.push_back(inc.position(id));
   if (points.size() < 2) return 0.0;
-  const auto edges = mst::euclidean_mst(points);
+  const auto edges = mst::dense_prim_mst(points);
   return mst::total_weight(points, edges);
 }
 
@@ -974,6 +974,45 @@ TEST(DynamicPlanner, RejectsIllegalMutations) {
   Mutation remove_dead{Mutation::Kind::kRemove, 3, {}};
   (void)planner.apply(remove_dead);
   EXPECT_THROW(planner.apply(remove_dead), std::invalid_argument);
+}
+
+TEST(DynamicPlanner, OpenRejectsNonFiniteCoordinates) {
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double value : {std::nan(""), inf, -inf}) {
+    for (const bool in_x : {true, false}) {
+      auto points = workload::make_family("uniform", 64, 2);
+      (in_x ? points[40].x : points[40].y) = value;
+      try {
+        const DynamicPlanner planner(points, options);
+        ADD_FAILURE() << "opened with " << value << (in_x ? " in x" : " in y");
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("point 40"), std::string::npos) << what;
+        EXPECT_NE(what.find(in_x ? "x = " : "y = "), std::string::npos)
+            << what;
+      }
+    }
+  }
+}
+
+TEST(DynamicPlanner, MutationsRejectNonFinitePositions) {
+  const auto points = workload::make_family("uniform", 32, 5);
+  DynamicOptions options;
+  options.config = workload::mode_config(core::PowerMode::kGlobal);
+  options.audit = true;
+  DynamicPlanner planner(points, options);
+  const double inf = std::numeric_limits<double>::infinity();
+  const Mutation add_nan{Mutation::Kind::kAdd, -1, {std::nan(""), 1.0}};
+  EXPECT_THROW((void)planner.apply(add_nan), std::invalid_argument);
+  const Mutation move_inf{Mutation::Kind::kMove, 3, {2.0, inf}};
+  EXPECT_THROW((void)planner.apply(move_inf), std::invalid_argument);
+  const Mutation good{Mutation::Kind::kMove, 3, {0.25, 0.75}};
+  const auto report = planner.apply(good);
+  EXPECT_TRUE(report.valid);
+  EXPECT_TRUE(report.audited);
+  EXPECT_TRUE(report.audit_ok());
 }
 
 TEST(DynamicPlanner, RejectsBadOptions) {

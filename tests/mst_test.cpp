@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <optional>
+#include <string>
 #include <set>
 #include <tuple>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "mst/point_grid.h"
 #include "mst/tree.h"
 #include "util/rng.h"
+#include "workload/workload.h"
 
 namespace wagg::mst {
 namespace {
@@ -105,7 +108,134 @@ TEST(Mst, IsSpanningTreeRejectsCyclesAndForests) {
 
 TEST(Mst, Validation) {
   EXPECT_THROW(euclidean_mst({{0, 0}}), std::invalid_argument);
+  EXPECT_THROW(dense_prim_mst({{0, 0}}), std::invalid_argument);
   EXPECT_THROW(k_fold_mst({{0, 0}, {1, 0}}, 0), std::invalid_argument);
+}
+
+TEST(Mst, RejectsNonFiniteCoordinates) {
+  const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double value : bad) {
+    for (const bool in_x : {true, false}) {
+      auto pts = instance::uniform_square(64, 8.0, 3);
+      (in_x ? pts[17].x : pts[17].y) = value;
+      try {
+        (void)euclidean_mst(pts);
+        ADD_FAILURE() << "accepted " << value << (in_x ? " in x" : " in y");
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("point 17"), std::string::npos) << what;
+        EXPECT_NE(what.find(in_x ? "x = " : "y = "), std::string::npos)
+            << what;
+      }
+    }
+  }
+}
+
+/// Both builders on one pointset: the edge lists must match in order, u
+/// and v included.
+void expect_dense_equal(const geom::Pointset& pts, const std::string& what) {
+  const auto dense = dense_prim_mst(pts);
+  const auto fast = euclidean_mst(pts);
+  ASSERT_EQ(fast.size(), dense.size()) << what;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    ASSERT_TRUE(fast[i] == dense[i])
+        << what << ": edge " << i << " is (" << fast[i].u << ", "
+        << fast[i].v << "), dense Prim has (" << dense[i].u << ", "
+        << dense[i].v << ")";
+  }
+}
+
+TEST(Mst, MatchesDenseReferenceEdgeForEdge) {
+  const auto& families = workload::FamilyRegistry::global();
+  for (const auto& family : families.names()) {
+    for (const std::size_t n : {2, 3, 256, 1024, 2048}) {
+      for (const std::uint64_t seed : {1, 2}) {
+        const auto pts = families.make(family, n, seed);
+        if (pts.size() < 2) continue;
+        expect_dense_equal(pts, family + "/" + std::to_string(n) + "/" +
+                                    std::to_string(seed));
+      }
+    }
+  }
+  expect_dense_equal(instance::grid(20, 20, 1.0), "integer grid");
+  expect_dense_equal(instance::unit_chain(300), "unitchain");
+  geom::Pointset vertical;
+  for (int i = 0; i < 200; ++i) vertical.push_back({0.0, 0.5 * (i % 37) + i});
+  expect_dense_equal(vertical, "vertical chain");
+  // Every integer point on x^2 + y^2 = 1105^2 (108 of them) plus the
+  // centre: exact hypot ties, 13-14 per octant at the centre.
+  geom::Pointset circle{{0.0, 0.0}};
+  for (int x = -1105; x <= 1105; ++x) {
+    const int y2 = 1105 * 1105 - x * x;
+    const int y = static_cast<int>(std::lround(std::sqrt(y2)));
+    if (y * y != y2) continue;
+    circle.push_back({double(x), double(y)});
+    if (y != 0) circle.push_back({double(x), double(-y)});
+  }
+  ASSERT_EQ(circle.size(), 109u);
+  expect_dense_equal(circle, "circle of radius 1105");
+  auto duplicated = instance::uniform_square(150, 5.0, 9);
+  for (std::size_t i = 0; i < 60; ++i) duplicated.push_back(duplicated[i % 7]);
+  expect_dense_equal(duplicated, "duplicated points");
+  geom::Pointset tiny, huge, small;
+  for (const auto& p : instance::uniform_square(200, 1.0, 4)) {
+    tiny.push_back({p.x * 1e-300, p.y * 1e-300});
+    huge.push_back({1e9 + p.x * 1e9, -3e9 + p.y * 1e9});
+    small.push_back({p.x * 1e-9, 1.0 + p.y * 1e-9});
+  }
+  expect_dense_equal(tiny, "1e-300 box");
+  expect_dense_equal(huge, "1e9 scale");
+  expect_dense_equal(small, "1e-9 scale");
+  // Boxes too large (extent past 2^1020) or too small (below 2^-1000) to
+  // grid run the dense loop itself.
+  geom::Pointset vast, minute;
+  for (const auto& p : instance::uniform_square(100, 1.0, 6)) {
+    vast.push_back({p.x * 4e307, p.y * 4e307});
+    minute.push_back({p.x * 1e-305, p.y * 1e-305});
+  }
+  expect_dense_equal(vast, "4e307 box");
+  expect_dense_equal(minute, "1e-305 box");
+  // Squared distances overflow past ~1e154; expchain reaches 2^899.
+  expect_dense_equal(instance::exponential_chain(900, 2.0), "expchain 900");
+}
+
+TEST(Mst, MatchesDenseOnRandomLatticeSets) {
+  // Few distinct coordinates: exact ties and coincident points abound.
+  util::Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.range(2, 200));
+    const auto side = rng.range(2, 9);
+    geom::Pointset pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      pts.push_back({double(rng.range(0, side)),
+                     double(rng.range(0, side))});
+    }
+    expect_dense_equal(pts, "lattice trial " + std::to_string(trial));
+  }
+}
+
+TEST(Mst, MatchesDenseOnNearCoincidentSets) {
+  // Lattice points, each with a companion one ulp away in x, y or both:
+  // hypot can round |wu| and |vu| equal when w is that close to v, so the
+  // 45-degree margin alone would drop MST edges here.
+  util::Rng rng(77);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto n = static_cast<std::size_t>(rng.range(1, 20));
+    geom::Pointset pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      const geom::Point p{double(rng.range(0, 6)),
+                          double(rng.range(0, 6))};
+      pts.push_back(p);
+      const auto shape = rng.range(0, 2);
+      geom::Point q = p;
+      if (shape != 1) q.x = std::nextafter(p.x, rng.chance(0.5) ? inf : -inf);
+      if (shape != 0) q.y = std::nextafter(p.y, rng.chance(0.5) ? inf : -inf);
+      pts.push_back(q);
+    }
+    expect_dense_equal(pts, "near-coincident trial " + std::to_string(trial));
+  }
 }
 
 TEST(DynamicTree, BasicLinkCutPathMax) {

@@ -73,6 +73,12 @@ Rules (see README "Correctness tooling" for the catalogue and rationale):
                 power_control_feasible_log2 outside sinr/ and schedule/
                 draws this finding and a power-solve one.
 
+  dense-prim    mst::dense_prim_mst, the O(n^2) Prim loop, is called in src/
+                nowhere but its own definition in mst/mst.*: it is the
+                tests' reference for euclidean_mst and wagg_bench's fixed
+                tree-cost denominator. On a planning path it would put the
+                quadratic seed back into every open, rebuild and audit.
+
 Suppression: a line (or the line directly above it) containing
 ``wagg-lint: allow(<rule>)`` suppresses that rule on that line. Every allow
 should carry a short justification after the closing parenthesis.
@@ -246,6 +252,9 @@ LOG_SPACE_RE = re.compile(
     r"\b(?:check_feasible|power_control_feasible)_log2\b")
 # Directories (under src/) that may run the log-space kernels.
 LOG_SPACE_DIRS = ("sinr/",)
+DENSE_PRIM_RE = re.compile(r"\bdense_prim_mst\b")
+# Files (under src/, without extension) that declare and define it.
+DENSE_PRIM_FILES = ("mst/mst",)
 
 
 def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
@@ -267,6 +276,8 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                     in THREAD_POOL_FILES)
     may_solve = relpath.removeprefix("src/").startswith(POWER_SOLVE_DIRS)
     may_log_space = relpath.removeprefix("src/").startswith(LOG_SPACE_DIRS)
+    defines_dense_prim = (relpath.removeprefix("src/").rsplit(".", 1)[0]
+                          in DENSE_PRIM_FILES)
 
     for idx, line in enumerate(code_lines, start=1):
         if not in_obs:
@@ -322,12 +333,17 @@ def lint_file(path: Path, relpath: str, rules: set[str]) -> list[Finding]:
                    "log-space kernel outside sinr/: call check_feasible / "
                    "power_control_feasible, which fall back to it only "
                    "outside the linear window")
+        if not defines_dense_prim and DENSE_PRIM_RE.search(line):
+            report(idx, "dense-prim",
+                   "dense O(n^2) Prim outside mst/mst: build trees with "
+                   "mst::euclidean_mst (the same edges, sub-quadratic); "
+                   "dense_prim_mst is the tests' reference")
     return findings
 
 
 ALL_RULES = {"stats-struct", "wall-clock", "naked-new", "raw-sync",
              "class-grid", "stage-clock", "raw-thread", "power-solve",
-             "log-space"}
+             "log-space", "dense-prim"}
 
 
 def lint_tree(root: Path) -> list[Finding]:
