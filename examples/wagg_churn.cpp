@@ -67,7 +67,8 @@ int main(int argc, char** argv) {
     options.config = workload::mode_config(
         workload::power_mode_from_string(args.get("mode", "global")));
     options.audit = args.has("audit");
-    options.full_replan_fraction = args.get_double("full-frac", 0.35);
+    options.full_replan_fraction =
+        args.get_double("full-frac", options.full_replan_fraction);
 
     // RAII export: if anything below throws mid-session, the guard's
     // destructor still flushes the spans and metrics recorded so far — the

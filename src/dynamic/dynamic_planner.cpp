@@ -280,7 +280,6 @@ void DynamicPlanner::ensure_node(NodeId id) {
   if (parent_.size() < needed) {
     parent_.resize(needed, kNoParent);
     uplink_.resize(needed, geom::kNoLink);
-    tree_adj_.resize(needed);
   }
 }
 
@@ -325,44 +324,11 @@ void DynamicPlanner::rehang(NodeId child, NodeId parent) {
 }
 
 void DynamicPlanner::apply_structural_diff(const mst::MstDelta& delta) {
-  // The journal over-approximates: an edge removed and re-added within the
-  // epoch nets out. Filter to the exact diff against the store (which still
-  // mirrors the pre-epoch tree), deduplicating repeats.
-  std::vector<std::pair<NodeId, NodeId>> removed;
-  std::vector<std::uint64_t> seen;
-  for (const auto& e : delta.removed) {
-    if (store_.find_pair(e.a, e.b) == geom::kNoLink) continue;
-    if (mst_.has_edge(e.a, e.b)) continue;
-    const auto key = geom::LinkStore::pair_key(e.a, e.b);
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-    seen.push_back(key);
-    removed.emplace_back(e.a, e.b);
-  }
-  std::vector<std::pair<NodeId, NodeId>> pending;
-  seen.clear();
-  for (const auto& e : delta.added) {
-    if (!mst_.has_edge(e.a, e.b)) continue;
-    if (store_.find_pair(e.a, e.b) != geom::kNoLink) continue;
-    const auto key = geom::LinkStore::pair_key(e.a, e.b);
-    if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
-    seen.push_back(key);
-    pending.emplace_back(e.a, e.b);
-  }
-
-  // Removals first: break the child side's parent pointer. The store drops
-  // the link; the component below keeps its orientation toward the (now
-  // broken) root.
-  for (const auto& [a, b] : removed) {
-    auto& adj_a = tree_adj_[static_cast<std::size_t>(a)];
-    auto& adj_b = tree_adj_[static_cast<std::size_t>(b)];
-    const auto it_a = std::find(adj_a.begin(), adj_a.end(), b);
-    const auto it_b = std::find(adj_b.begin(), adj_b.end(), a);
-    if (it_a == adj_a.end() || it_b == adj_b.end()) {
-      throw std::logic_error(
-          "DynamicPlanner: removed edge missing from adjacency");
-    }
-    adj_a.erase(it_a);
-    adj_b.erase(it_b);
+  // The delta is the exact diff against the pre-epoch tree, which the store
+  // still mirrors. Removals first: break the child side's parent pointer.
+  // The store drops the link; the component below keeps its orientation
+  // toward the (now broken) root.
+  for (const auto& [a, b] : delta.removed) {
     NodeId child;
     if (parent_[static_cast<std::size_t>(a)] == b) {
       child = a;
@@ -377,11 +343,8 @@ void DynamicPlanner::apply_structural_diff(const mst::MstDelta& delta) {
     parent_[static_cast<std::size_t>(child)] = kNoParent;
   }
 
-  for (const auto& [a, b] : pending) {
-    ensure_node(a > b ? a : b);
-    tree_adj_[static_cast<std::size_t>(a)].push_back(b);
-    tree_adj_[static_cast<std::size_t>(b)].push_back(a);
-  }
+  std::vector<mst::IdEdge> pending = delta.added;
+  for (const auto& [a, b] : pending) ensure_node(b);  // canonical a < b
 
   // Reattach detached components. An added edge is processable once one
   // endpoint reaches the sink through already-settled structure; chained
@@ -420,11 +383,6 @@ void DynamicPlanner::reconcile_full() {
   for (const auto id : ids) {
     parent_[static_cast<std::size_t>(id)] = kNoParent;
     uplink_[static_cast<std::size_t>(id)] = geom::kNoLink;
-    tree_adj_[static_cast<std::size_t>(id)].clear();
-  }
-  for (const auto& e : mst_.edges()) {
-    tree_adj_[static_cast<std::size_t>(e.a)].push_back(e.b);
-    tree_adj_[static_cast<std::size_t>(e.b)].push_back(e.a);
   }
 
   parent_[static_cast<std::size_t>(sink_id_)] = -1;
@@ -432,7 +390,7 @@ void DynamicPlanner::reconcile_full() {
   std::size_t head = 0;
   while (head < frontier.size()) {
     const NodeId v = frontier[head++];
-    for (const NodeId w : tree_adj_[static_cast<std::size_t>(v)]) {
+    for (const auto& [w, edge] : mst_.neighbors(v)) {
       if (parent_[static_cast<std::size_t>(w)] != kNoParent) continue;
       parent_[static_cast<std::size_t>(w)] = v;
       frontier.push_back(w);
@@ -476,7 +434,7 @@ void DynamicPlanner::reconcile_full() {
 void DynamicPlanner::refresh_touched(const std::vector<NodeId>& touched) {
   for (const NodeId v : touched) {
     if (!mst_.alive(v)) continue;  // added/moved, then removed in-batch
-    for (const NodeId u : tree_adj_[static_cast<std::size_t>(v)]) {
+    for (const auto& [u, edge] : mst_.neighbors(v)) {
       const NodeId child = parent_[static_cast<std::size_t>(u)] == v ? u : v;
       const geom::LinkId link = uplink_[static_cast<std::size_t>(child)];
       const NodeId up = parent_[static_cast<std::size_t>(child)];
@@ -783,8 +741,12 @@ void DynamicPlanner::run_audit(EpochReport& report) {
         oriented.links.link(i).sender)];
     const NodeId r = current_.ids[static_cast<std::size_t>(
         oriented.links.link(i).receiver)];
-    const geom::LinkId link = store_.find_pair(s, r);
-    store_match = link != geom::kNoLink && store_.sender(link) == s &&
+    // Each oriented link must be its sender's uplink. The counts are equal,
+    // so a duplicate or stray store link leaves some sender unmatched.
+    const auto slot = static_cast<std::size_t>(s);
+    const geom::LinkId link =
+        slot < uplink_.size() ? uplink_[slot] : geom::kNoLink;
+    store_match = store_.alive(link) && store_.sender(link) == s &&
                   store_.receiver(link) == r &&
                   store_.length(link) == oriented.links.length(i);
   }

@@ -235,7 +235,7 @@ class DynamicPlanner {
 
   /// Grows the id-indexed node arrays to cover `id`.
   void ensure_node(NodeId id);
-  /// Replays a journaled edge diff onto the store: removals break parent
+  /// Replays the tree's net edge diff onto the store: removals break parent
   /// chains, additions re-root detached components via in-place flips.
   void apply_structural_diff(const mst::MstDelta& delta);
   /// From-scratch orientation (BFS in id-space) reconciled against the
@@ -273,7 +273,6 @@ class DynamicPlanner {
   // ---- id-space orientation state, indexed by NodeId ----
   std::vector<NodeId> parent_;          ///< kNoParent dead/broken; -1 sink
   std::vector<geom::LinkId> uplink_;    ///< node's upward link, kNoLink none
-  std::vector<std::vector<NodeId>> tree_adj_;  ///< current tree neighbors
 
   /// Previous epoch's final slot of every link, indexed by stable LinkId
   /// (-1 unknown). Every final slot is conflict-independent and

@@ -13,12 +13,6 @@ std::size_t LinkStore::checked(LinkId id) const {
   return static_cast<std::size_t>(id);
 }
 
-std::uint64_t LinkStore::pair_key(std::int32_t a, std::int32_t b) noexcept {
-  const auto lo = static_cast<std::uint32_t>(a < b ? a : b);
-  const auto hi = static_cast<std::uint32_t>(a < b ? b : a);
-  return (static_cast<std::uint64_t>(hi) << 32) | lo;
-}
-
 LinkId LinkStore::add(std::int32_t sender, std::int32_t receiver,
                       double length) {
   if (sender == receiver) {
@@ -26,12 +20,6 @@ LinkId LinkStore::add(std::int32_t sender, std::int32_t receiver,
   }
   if (!(length > 0.0)) {
     throw std::invalid_argument("LinkStore: length must be positive");
-  }
-  const auto [it, inserted] =
-      pair_index_.try_emplace(pair_key(sender, receiver),
-                              static_cast<LinkId>(alive_.size()));
-  if (!inserted) {
-    throw std::invalid_argument("LinkStore: pair already has a live link");
   }
   const LinkId id = static_cast<LinkId>(alive_.size());
   sender_.push_back(sender);
@@ -46,7 +34,6 @@ LinkId LinkStore::add(std::int32_t sender, std::int32_t receiver,
 
 void LinkStore::remove(LinkId id) {
   const auto slot = checked(id);
-  pair_index_.erase(pair_key(sender_[slot], receiver_[slot]));
   alive_[slot] = false;
   --num_live_;
   log_change(slot, kGeometry);
@@ -78,11 +65,6 @@ void LinkStore::log_change(std::size_t slot, std::uint8_t flags) {
 void LinkStore::clear_changes() noexcept {
   for (const auto id : changed_) change_[static_cast<std::size_t>(id)] = 0;
   changed_.clear();
-}
-
-LinkId LinkStore::find_pair(std::int32_t a, std::int32_t b) const {
-  const auto it = pair_index_.find(pair_key(a, b));
-  return it == pair_index_.end() ? kNoLink : it->second;
 }
 
 std::vector<LinkId> LinkStore::live_ids() const {

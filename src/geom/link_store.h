@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/link_view.h"
@@ -36,21 +35,21 @@ namespace wagg::geom {
 /// basis of O(dirty) epoch work instead of assuming a fresh world.
 ///
 /// Endpoints are stable NODE ids (e.g. mst::IncrementalMst ids), not dense
-/// point indices; the store never touches positions. A canonical-pair index
-/// (undirected {a, b} -> live id) lets tree maintainers diff edge sets.
+/// point indices; the store never touches positions, and it does not check
+/// pairs for uniqueness: which pairs are links is the tree owner's to say.
 class LinkStore {
  public:
   LinkStore() = default;
 
-  /// Allocates a new live link. The pair {sender, receiver} must not
-  /// collide with a live link (std::invalid_argument).
+  /// Allocates a new live link. Self-loops and non-positive lengths throw
+  /// std::invalid_argument.
   LinkId add(std::int32_t sender, std::int32_t receiver, double length);
 
   /// Kills a live link. Throws std::invalid_argument on dead/unknown ids.
   void remove(LinkId id);
 
   /// In-place orientation flip: swaps sender and receiver and logs
-  /// kOrientation. The pair index is unaffected (pairs are undirected).
+  /// kOrientation.
   void flip(LinkId id);
 
   /// Refreshes the length column. A no-op (nothing logged) when the value
@@ -101,15 +100,6 @@ class LinkStore {
   /// Empties the log, resetting the flags of the logged ids only.
   void clear_changes() noexcept;
 
-  /// The live id of the undirected pair {a, b}, or kNoLink.
-  [[nodiscard]] LinkId find_pair(std::int32_t a, std::int32_t b) const;
-
-  /// The canonical key of the undirected pair {a, b} — the scheme the pair
-  /// index uses, exposed so tree maintainers deduplicate edge diffs with
-  /// the exact same identity.
-  [[nodiscard]] static std::uint64_t pair_key(std::int32_t a,
-                                              std::int32_t b) noexcept;
-
   /// Live ids in increasing order — the canonical dense order of views.
   [[nodiscard]] std::vector<LinkId> live_ids() const;
 
@@ -132,7 +122,6 @@ class LinkStore {
   std::vector<bool> alive_;
   std::vector<std::uint8_t> change_;  ///< per-id flags, 0 = unchanged
   std::vector<LinkId> changed_;       ///< the log, first-change order
-  std::unordered_map<std::uint64_t, LinkId> pair_index_;
   std::size_t num_live_ = 0;
 };
 

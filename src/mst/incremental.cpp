@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace wagg::mst {
@@ -80,13 +81,6 @@ std::vector<IdEdge> IncrementalMst::edges() const {
   return edges;
 }
 
-bool IncrementalMst::has_edge(NodeId a, NodeId b) const noexcept {
-  if (!alive(a) || !alive(b)) return false;
-  const auto& adj = adj_[static_cast<std::size_t>(a)];
-  return std::any_of(adj.begin(), adj.end(),
-                     [&](const AdjEntry& e) { return e.neighbor == b; });
-}
-
 std::vector<Edge> IncrementalMst::compact_edges() const {
   // Dense index per alive id via a scratch array (ids are small integers).
   std::vector<std::int32_t> index(alive_.size(), -1);
@@ -105,9 +99,33 @@ std::vector<Edge> IncrementalMst::compact_edges() const {
 }
 
 MstDelta IncrementalMst::take_delta() {
-  MstDelta drained = std::move(delta_);
-  delta_ = MstDelta{};
-  return drained;
+  const MstDelta journal = std::exchange(delta_, MstDelta{});
+  MstDelta out;
+  out.rebuilt = journal.rebuilt;
+  if (out.rebuilt) return out;
+  // Journal entries are canonical (a < b); sum each edge's entries, then
+  // list it once, at its first entry, when the sum is nonzero.
+  const auto key = [](const IdEdge& e) {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(e.a))
+            << 32) |
+           static_cast<std::uint32_t>(e.b);
+  };
+  std::unordered_map<std::uint64_t, int> net;
+  for (const auto& e : journal.added) ++net[key(e)];
+  for (const auto& e : journal.removed) --net[key(e)];
+  for (const auto& e : journal.added) {
+    if (int& sum = net[key(e)]; sum > 0) {
+      out.added.push_back(e);
+      sum = 0;
+    }
+  }
+  for (const auto& e : journal.removed) {
+    if (int& sum = net[key(e)]; sum < 0) {
+      out.removed.push_back(e);
+      sum = 0;
+    }
+  }
+  return out;
 }
 
 void IncrementalMst::ensure_node(NodeId id) {

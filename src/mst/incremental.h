@@ -27,12 +27,12 @@ struct IdEdge {
   friend bool operator==(const IdEdge&, const IdEdge&) = default;
 };
 
-/// Edge changes accumulated by an IncrementalMst since the last
-/// take_delta(). When `rebuilt` is set the added/removed lists are empty
-/// and meaningless: the whole tree was recomputed and the consumer must
-/// reconcile against edges() wholesale. An edge may appear in both lists
-/// (removed then re-added within the window); consumers diff against their
-/// own view of the pre-window tree.
+/// The net edge diff of an IncrementalMst since the last take_delta():
+/// `added` holds the edges the tree gained and `removed` the edges it lost,
+/// each edge at most once and in neither list when it left and came back
+/// within the window. Each list keeps the order of its edges' first journal
+/// entries. When `rebuilt` is set both lists are empty: the whole tree was
+/// recomputed and the consumer must reconcile against the tree wholesale.
 struct MstDelta {
   std::vector<IdEdge> added;
   std::vector<IdEdge> removed;
@@ -90,9 +90,10 @@ struct IncrementalMstStats {
 /// it is an MST of equal weight (tests compare weights against a
 /// from-scratch Prim run).
 ///
-/// Every structural change is journaled into an MstDelta that tree
-/// consumers (dynamic::DynamicPlanner's geom::LinkStore orientation) drain
-/// with take_delta() to update in place instead of re-reading the world.
+/// Every structural change is journaled; tree consumers
+/// (dynamic::DynamicPlanner's geom::LinkStore orientation) drain the net
+/// MstDelta with take_delta() to update in place instead of re-reading the
+/// world, and read the tree itself through neighbors().
 class IncrementalMst {
  public:
   /// Ids 0..initial.size()-1 map to the initial points. A single point (or
@@ -121,7 +122,9 @@ class IncrementalMst {
   /// From-scratch, id-preserving recompute of the maintained tree.
   void rebuild();
 
-  /// Drains the accumulated edge-change journal (and resets it).
+  /// Drains the edge-change journal (and resets it), netted to the exact
+  /// diff: an edge's entries alternate between added and removed, so they
+  /// sum to +1 (new), -1 (gone) or 0 (unchanged).
   [[nodiscard]] MstDelta take_delta();
 
   [[nodiscard]] bool alive(NodeId id) const noexcept {
@@ -139,12 +142,27 @@ class IncrementalMst {
 
   /// Current MST edges over the alive points (stable ids, canonical a < b,
   /// sorted by (a, b) so equal trees compare equal). Built and sorted on
-  /// every call, O(n log n): for whole-tree consumers, not per-edge tests.
+  /// every call, O(n log n): for whole-tree consumers; per-node reads use
+  /// neighbors().
   [[nodiscard]] std::vector<IdEdge> edges() const;
 
-  /// True iff {a, b} is a maintained tree edge (either order). O(degree of
-  /// a); false for dead or unknown ids.
-  [[nodiscard]] bool has_edge(NodeId a, NodeId b) const noexcept;
+  /// One adjacency entry of the maintained tree. Degree is <= 6 for
+  /// distinct positions (Euclidean MST bound), but coincident points can
+  /// exceed it — a hub of zero-weight twin edges — so the lists must stay
+  /// genuinely dynamic.
+  struct AdjEntry {
+    NodeId neighbor = -1;
+    EdgeHandle edge = kNoEdgeHandle;
+  };
+
+  /// The maintained tree neighbors of `id`, in no fixed order; empty for
+  /// dead or unknown ids. Valid until the next tree update.
+  [[nodiscard]] std::span<const AdjEntry> neighbors(NodeId id) const noexcept {
+    // A deferred add is alive before rebuild() gives it a list.
+    return alive(id) && static_cast<std::size_t>(id) < adj_.size()
+               ? std::span<const AdjEntry>(adj_[static_cast<std::size_t>(id)])
+               : std::span<const AdjEntry>();
+  }
 
   /// Total Euclidean weight of the maintained tree.
   [[nodiscard]] double weight() const;
@@ -175,15 +193,6 @@ class IncrementalMst {
       return b < other.b;
     }
   };
-  /// One adjacency entry of the maintained tree. Degree is <= 6 for
-  /// distinct positions (Euclidean MST bound), but coincident points can
-  /// exceed it — a hub of zero-weight twin edges — so the lists must stay
-  /// genuinely dynamic.
-  struct AdjEntry {
-    NodeId neighbor = -1;
-    EdgeHandle edge = kNoEdgeHandle;
-  };
-
   [[nodiscard]] double squared_weight(NodeId a, NodeId b) const;
   /// Insertion update: cone candidates + path_max swaps.
   void attach(NodeId id);
@@ -206,7 +215,7 @@ class IncrementalMst {
   std::vector<bool> alive_;
   std::size_t num_alive_ = 0;
   /// The maintained tree: path-max structure + explicit adjacency (the
-  /// degree-<= 6 lists detach and edges() iterate).
+  /// degree-<= 6 lists detach, edges() and neighbors() read).
   DynamicTree dtree_;
   std::vector<std::vector<AdjEntry>> adj_;
   /// Maintained spatial candidate index over the alive points.

@@ -153,7 +153,6 @@ constexpr PlanService::SessionId make_session_id(
 Executor::Options executor_options(const ServiceOptions& options) {
   Executor::Options exec;
   exec.num_workers = options.num_workers;
-  exec.num_stripes = options.num_stripes;
   exec.default_queue_capacity = options.session_mailbox_capacity;
   return exec;
 }

@@ -89,9 +89,8 @@ struct PlanOutcome {
 
 struct ServiceOptions {
   /// Worker threads in the pool; 0 means std::thread::hardware_concurrency().
+  /// The executor keeps one ready-list stripe per worker.
   std::size_t num_workers = 0;
-  /// Executor ready-list stripes; 0 means one per worker.
-  std::size_t num_stripes = 0;
   /// Retain the full PlanResult on each outcome (memory-heavy for big
   /// batches; summaries and digests are always available).
   bool keep_plans = false;

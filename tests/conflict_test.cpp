@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -402,20 +403,24 @@ TEST(ConflictIndex, RandomizedChurnMatchesFromScratch) {
   const auto random_node = [&] {
     return static_cast<std::int32_t>(rng.below(points.size()));
   };
+  // The undirected node pairs of the live links: at most one link each.
+  std::set<std::pair<std::int32_t, std::int32_t>> live_pairs;
   // Seed some links, then churn: add / remove / move with equal odds.
   for (int step = 0; step < 120; ++step) {
     const int op = step < 24 ? 0 : static_cast<int>(rng.below(3));
     if (op == 0) {
       const auto a = random_node();
       const auto b = random_node();
-      if (a != b && store.find_pair(a, b) == geom::kNoLink) {
+      if (a != b && live_pairs.insert(std::minmax(a, b)).second) {
         store.add(a, b,
                   geom::distance(points[static_cast<std::size_t>(a)],
                                  points[static_cast<std::size_t>(b)]));
       }
     } else if (op == 1 && store.num_live() > 4) {
       const auto ids = store.live_ids();
-      store.remove(ids[rng.below(ids.size())]);
+      const auto id = ids[rng.below(ids.size())];
+      live_pairs.erase(std::minmax(store.sender(id), store.receiver(id)));
+      store.remove(id);
     } else if (op == 2) {
       // Move a node: refresh every incident link the way the planner does
       // (length column + unconditional touch).
@@ -519,19 +524,23 @@ TEST(ConflictIndex, RowCacheStaysExactUnderStoreChurn) {
   const auto random_node = [&] {
     return static_cast<std::int32_t>(rng.below(points.size()));
   };
+  // The undirected node pairs of the live links: at most one link each.
+  std::set<std::pair<std::int32_t, std::int32_t>> live_pairs;
   for (int step = 0; step < 80; ++step) {
     const int op = step < 20 ? 0 : static_cast<int>(rng.below(3));
     if (op == 0) {
       const auto a = random_node();
       const auto b = random_node();
-      if (a != b && store.find_pair(a, b) == geom::kNoLink) {
+      if (a != b && live_pairs.insert(std::minmax(a, b)).second) {
         store.add(a, b,
                   geom::distance(points[static_cast<std::size_t>(a)],
                                  points[static_cast<std::size_t>(b)]));
       }
     } else if (op == 1 && store.num_live() > 4) {
       const auto ids = store.live_ids();
-      store.remove(ids[rng.below(ids.size())]);
+      const auto id = ids[rng.below(ids.size())];
+      live_pairs.erase(std::minmax(store.sender(id), store.receiver(id)));
+      store.remove(id);
     } else if (op == 2) {
       // Large jumps: incident link lengths routinely cross power-of-two
       // class boundaries, so cached rows survive re-class updates too.

@@ -30,9 +30,6 @@ TEST(LinkStore, IdStabilityAndChangeLog) {
   EXPECT_EQ(a, 0);
   EXPECT_EQ(b, 1);
   EXPECT_EQ(store.num_live(), 2u);
-  EXPECT_EQ(store.find_pair(1, 0), a);  // pairs are undirected
-  EXPECT_EQ(store.find_pair(2, 1), b);
-  EXPECT_EQ(store.find_pair(0, 2), geom::kNoLink);
   // add logs both kinds of change.
   EXPECT_EQ(store.change(a), kBoth);
   EXPECT_EQ(store.change(b), kBoth);
@@ -57,7 +54,6 @@ TEST(LinkStore, IdStabilityAndChangeLog) {
   store.flip(a);
   EXPECT_EQ(store.sender(a), 1);
   EXPECT_EQ(store.receiver(a), 0);
-  EXPECT_EQ(store.find_pair(0, 1), a);  // pair index unaffected
   EXPECT_EQ(store.change(a), LinkStore::kOrientation);
 
   // A value-changing set_length adds the geometry flag. Each id stays
@@ -74,7 +70,6 @@ TEST(LinkStore, IdStabilityAndChangeLog) {
   // stays in the log, and its flags stay readable.
   store.remove(a);
   EXPECT_FALSE(store.alive(a));
-  EXPECT_EQ(store.find_pair(0, 1), geom::kNoLink);
   EXPECT_EQ(store.change(a), kBoth);
   const auto c = store.add(0, 1, 1.0);
   EXPECT_EQ(c, 2);
@@ -94,7 +89,6 @@ TEST(LinkStore, IdStabilityAndChangeLog) {
 
   EXPECT_THROW(store.flip(a), std::invalid_argument);         // dead id
   EXPECT_THROW(store.touch(b), std::invalid_argument);        // dead id
-  EXPECT_THROW(store.add(1, 0, 1.0), std::invalid_argument);  // live pair
   EXPECT_THROW(store.add(3, 3, 1.0), std::invalid_argument);  // self loop
   EXPECT_THROW(store.add(4, 5, 0.0), std::invalid_argument);  // zero length
   EXPECT_TRUE(store.changed().empty());  // rejected calls log nothing

@@ -8,6 +8,7 @@
 #include <string>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "geom/point.h"
@@ -415,55 +416,134 @@ TEST(PointGrid, NearestAndConeQueriesAreExact) {
   EXPECT_EQ(capped.id, grid.nearest({4.5, 4.5}, none).id);
 }
 
-TEST(IncrementalMst, HasEdgeAgreesWithEdges) {
+/// `delta` must be the exact diff from `before` to `after`: no edge listed
+/// twice, every removed edge in `before`, no added edge in it, and
+/// before - removed + added equal to `after`.
+void expect_exact_delta(const MstDelta& delta,
+                        const std::vector<IdEdge>& before,
+                        const std::vector<IdEdge>& after,
+                        const std::string& where) {
+  using Pair = std::pair<NodeId, NodeId>;
+  ASSERT_FALSE(delta.rebuilt) << where;
+  std::set<Pair> previous;
+  for (const auto& e : before) previous.emplace(e.a, e.b);
+  std::set<Pair> tree = previous;
+  std::set<Pair> listed;
+  for (const auto& e : delta.removed) {
+    ASSERT_TRUE(listed.emplace(e.a, e.b).second)
+        << where << ": edge " << e.a << "-" << e.b << " listed twice";
+    ASSERT_EQ(previous.count({e.a, e.b}), 1u)
+        << where << ": removed " << e.a << "-" << e.b << " was no edge";
+    tree.erase({e.a, e.b});
+  }
+  for (const auto& e : delta.added) {
+    ASSERT_TRUE(listed.emplace(e.a, e.b).second)
+        << where << ": edge " << e.a << "-" << e.b << " listed twice";
+    ASSERT_EQ(previous.count({e.a, e.b}), 0u)
+        << where << ": added " << e.a << "-" << e.b << " was an edge";
+    tree.emplace(e.a, e.b);
+  }
+  std::set<Pair> current;
+  for (const auto& e : after) current.emplace(e.a, e.b);
+  EXPECT_EQ(tree, current) << where;
+}
+
+/// Random churn in windows of one to three updates, each window's delta
+/// checked by expect_exact_delta. `position` draws each new position.
+template <class Draw>
+void churn_with_exact_deltas(IncrementalMst& inc, util::Rng& rng,
+                             Draw position, const std::string& name) {
+  EXPECT_TRUE(inc.take_delta().empty()) << name << ": the seed is no change";
+  auto previous = inc.edges();
+  std::size_t changes = 0;
+  for (int window = 0; window < 40; ++window) {
+    for (int op = 0; op <= window % 3; ++op) {
+      const auto alive = inc.alive_ids();
+      const auto pick = alive[rng.below(alive.size())];
+      switch (rng.below(3)) {
+        case 0:
+          (void)inc.add_point(position());
+          break;
+        case 1:
+          if (alive.size() > 3) inc.remove_point(pick);
+          break;
+        default:
+          inc.move_point(pick, position());
+      }
+    }
+    const auto delta = inc.take_delta();
+    auto current = inc.edges();
+    expect_exact_delta(delta, previous, current,
+                       name + " window " + std::to_string(window));
+    changes += delta.added.size() + delta.removed.size();
+    previous = std::move(current);
+  }
+  EXPECT_GT(changes, 0u) << name;
+}
+
+TEST(IncrementalMst, TakeDeltaIsTheExactDiff) {
   util::Rng rng(19);
   geom::Pointset points;
   for (int i = 0; i < 30; ++i) {
     points.push_back({rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)});
   }
   IncrementalMst inc(points);
-  std::size_t ids = points.size();  // every id ever allocated
-  std::size_t tree_pairs = 0;
-  std::size_t dead = 0;
-  const auto check = [&](int step) {
-    const auto edges = inc.edges();
-    // Every pair of ids, in both orders, plus one unknown id on each side.
-    const auto end = static_cast<NodeId>(ids) + 1;
-    for (NodeId a = -1; a <= end; ++a) {
-      for (NodeId b = -1; b <= end; ++b) {
-        const IdEdge probe = a < b ? IdEdge{a, b} : IdEdge{b, a};
-        const bool listed = std::binary_search(
-            edges.begin(), edges.end(), probe,
-            [](const IdEdge& x, const IdEdge& y) {
-              return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-            });
-        ASSERT_EQ(inc.has_edge(a, b), listed)
-            << "step " << step << " pair " << a << ", " << b;
-        if (listed) ++tree_pairs;
-      }
-      if (a >= 0 && a < end - 1 && !inc.alive(a)) ++dead;
-    }
-  };
-  check(-1);
-  for (int step = 0; step < 40; ++step) {
-    const auto alive = inc.alive_ids();
-    const auto pick = alive[rng.below(alive.size())];
-    const geom::Point p{rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)};
-    switch (rng.below(3)) {
-      case 0:
-        (void)inc.add_point(p);
-        ++ids;
-        break;
-      case 1:
-        if (alive.size() > 3) inc.remove_point(pick);
-        break;
-      default:
-        inc.move_point(pick, p);
-    }
-    check(step);
+  churn_with_exact_deltas(
+      inc, rng,
+      [&] {
+        return geom::Point{rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)};
+      },
+      "uniform");
+
+  // The all-ties unit grid, churned onto lattice sites: equal distances
+  // everywhere, coincident points included.
+  IncrementalMst grid(workload::make_family("grid", 25, 1));
+  churn_with_exact_deltas(
+      grid, rng,
+      [&] {
+        return geom::Point{static_cast<double>(rng.below(6)),
+                           static_cast<double>(rng.below(6))};
+      },
+      "unit grid");
+}
+
+TEST(IncrementalMst, TakeDeltaNetsOutReturningChanges) {
+  // Distinct distances: the MST is unique, so a window that ends on the
+  // point set it started from changes no edge.
+  util::Rng rng(23);
+  geom::Pointset points;
+  for (int i = 0; i < 40; ++i) {
+    points.push_back({rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)});
   }
-  EXPECT_GT(tree_pairs, 0u);
-  EXPECT_GT(dead, 0u);  // dead ids were probed too
+  IncrementalMst inc(points);
+  const auto tree = inc.edges();
+  for (int trial = 0; trial < 10; ++trial) {
+    // Each window journals real changes before it returns.
+    const geom::Point p{rng.uniform(0.0, 9.0), rng.uniform(0.0, 9.0)};
+    const auto added = inc.add_point(p);
+    ASSERT_NE(inc.edges(), tree);
+    inc.remove_point(added);
+    EXPECT_TRUE(inc.take_delta().empty()) << "add then remove " << trial;
+
+    const auto id = static_cast<NodeId>(rng.below(points.size()));
+    inc.move_point(id, p);
+    ASSERT_NE(inc.edges(), tree);
+    inc.move_point(id, points[static_cast<std::size_t>(id)]);
+    EXPECT_TRUE(inc.take_delta().empty()) << "move away and back " << trial;
+  }
+  EXPECT_EQ(inc.edges(), tree);
+
+  // A rebuild reports itself with empty lists, even when updates follow it
+  // inside the same window.
+  inc.move_point(3, {4.5, 4.5});
+  inc.rebuild();
+  (void)inc.add_point({1.5, 7.5});
+  const auto delta = inc.take_delta();
+  EXPECT_TRUE(delta.rebuilt);
+  EXPECT_TRUE(delta.added.empty());
+  EXPECT_TRUE(delta.removed.empty());
+  EXPECT_FALSE(delta.empty());
+  EXPECT_TRUE(inc.take_delta().empty());
 }
 
 TEST(Tree, OrientationBasics) {
