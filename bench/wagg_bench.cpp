@@ -885,8 +885,7 @@ int run_offline_profile(const std::string& trace_path,
                         const util::Args& args) {
   const auto report = obs::profile_chrome_trace(read_file(trace_path));
   std::cout << "profile of " << trace_path << ":\n"
-            << report.table(
-                   static_cast<std::size_t>(args.get_int("top", 0)));
+            << report.table(args.get_count("top", 0));
   return report.malformed_spans == 0 ? 0 : 1;
 }
 
@@ -934,15 +933,13 @@ int main(int argc, char** argv) {
     }
 
     SuiteOptions suite;
-    suite.repeats = std::max<std::size_t>(
-        1, static_cast<std::size_t>(args.get_int("repeat", 5)));
-    suite.warmup =
-        static_cast<std::size_t>(args.get_int("warmup", 1));
+    suite.repeats = std::max<std::size_t>(1, args.get_count("repeat", 5));
+    suite.warmup = args.get_count("warmup", 1);
     suite.quick = args.has("quick");
     suite.out_path = args.get("out", "");
     suite.profile_out = args.get("profile-out", "");
     suite.label = args.get("label", "");
-    suite.top_k = static_cast<std::size_t>(args.get_int("top", 12));
+    suite.top_k = args.get_count("top", 12);
     suite.trace_path = args.get("trace", "");
     suite.metrics_path = args.get("metrics-json", "");
     return run_suite(suite);

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   std::uint64_t seed = 0;
   wagg::core::PlannerConfig config;
   try {
-    n = static_cast<std::size_t>(args.get_int("n", 256));
+    n = args.get_count("n", 256);
     seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
     config.sinr.alpha = args.get_double("alpha", 3.0);
     config.sinr.beta = args.get_double("beta", 1.0);

@@ -93,8 +93,7 @@ int main(int argc, char** argv) {
                                      args.get("metrics-json", ""));
 
     wagg::runtime::ServiceOptions options;
-    options.num_workers =
-        static_cast<std::size_t>(args.get_int("workers", 0));
+    options.num_workers = args.get_count("workers", 0);
     wagg::runtime::PlanService service(options);
 
     std::cout << "workload: " << spec.name << "  (" << requests.size()

@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
          "hradius", "speed", "drift", "mode", "audit", "full-frac", "trace",
          "metrics-json", "csv"});
     const std::string family = args.get("family", "uniform");
-    const auto n = static_cast<std::size_t>(args.get_int("n", 256));
-    const auto epochs = static_cast<std::size_t>(args.get_int("epochs", 20));
+    const auto n = args.get_count("n", 256);
+    const auto epochs = args.get_count("epochs", 20);
     const double rate = args.get_double("rate", 0.05);
     const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
 

@@ -22,7 +22,7 @@
 // executor path must produce bit-identical plans.
 //
 // --smoke is the CI gate: one point at --sessions (default 1000) x --rates
-// (default 2), digest-check forced on, exit 2 unless the point sustains.
+// (default 0.5), digest-check forced on, exit 2 unless the point sustains.
 // The SLO default is deliberately loose (250 ms) so the gate trips on
 // collapse (queue blowup, lost wakeups, serialization), not on runner
 // noise.
@@ -34,6 +34,7 @@
 #include <iostream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,22 +53,29 @@ namespace {
 
 using namespace wagg;
 
-std::vector<std::size_t> parse_list(const std::string& text) {
+std::vector<std::size_t> parse_count_list(const std::string& key,
+                                          const std::string& text) {
   std::vector<std::size_t> values;
   std::string current;
   std::istringstream in(text);
   while (std::getline(in, current, ',')) {
-    if (!current.empty()) values.push_back(std::stoull(current));
+    if (!current.empty()) values.push_back(util::parse_count(key, current));
   }
   return values;
 }
 
-std::vector<double> parse_double_list(const std::string& text) {
+std::vector<double> parse_rate_list(const std::string& key,
+                                    const std::string& text) {
   std::vector<double> values;
   std::string current;
   std::istringstream in(text);
   while (std::getline(in, current, ',')) {
-    if (!current.empty()) values.push_back(std::stod(current));
+    if (current.empty()) continue;
+    const double rate = util::parse_number(key, current);
+    if (!(rate >= 0.0)) {
+      throw std::invalid_argument("--" + key + " is not a rate: " + current);
+    }
+    values.push_back(rate);
   }
   return values;
 }
@@ -255,25 +263,24 @@ int main(int argc, char** argv) {
 
     PointConfig cfg;
     cfg.family = args.get("family", cfg.family);
-    cfg.n = static_cast<std::size_t>(args.get_int("n", 256));
+    cfg.n = args.get_count("n", 256);
     cfg.mode = args.get("mode", cfg.mode);
-    cfg.epochs = static_cast<std::size_t>(args.get_int("epochs", 6));
+    cfg.epochs = args.get_count("epochs", 6);
     cfg.churn_rate = args.get_double("rate", cfg.churn_rate);
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-    cfg.workers = static_cast<std::size_t>(args.get_int("workers", 0));
-    cfg.mailbox = static_cast<std::size_t>(args.get_int("mailbox", 32));
+    cfg.workers = args.get_count("workers", 0);
+    cfg.mailbox = args.get_count("mailbox", 32);
     cfg.slo_ms = args.get_double("slo-ms", cfg.slo_ms);
-    cfg.digest_check = static_cast<std::size_t>(
-        args.get_int("digest-check", smoke ? 8 : 0));
+    cfg.digest_check = args.get_count("digest-check", smoke ? 8 : 0);
 
-    std::vector<std::size_t> session_counts =
-        parse_list(args.get("sessions", smoke ? "1000" : "125,250,500,1000"));
+    std::vector<std::size_t> session_counts = parse_count_list(
+        "sessions", args.get("sessions", smoke ? "1000" : "125,250,500,1000"));
     // The smoke gate paces at 0.5 epochs/sec/session: 1000 sessions then
     // demand ~500 epochs/sec aggregate, inside a single CI core's measured
     // capacity (~900/s at n=256 oblivious) — the gate checks the runtime
     // keeps latency flat under real concurrency, not peak throughput.
     std::vector<double> rates =
-        parse_double_list(args.get("rates", smoke ? "0.5" : "2"));
+        parse_rate_list("rates", args.get("rates", smoke ? "0.5" : "2"));
 
     obs::ExportGuard telemetry("", args.get("metrics-json", ""));
 

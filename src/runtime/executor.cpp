@@ -87,21 +87,14 @@ std::size_t Executor::SerialQueue::depth() const {
 
 // ------------------------------------------------------------------ Executor
 
-Executor::Executor() : Executor(Options{}) {}
-
-Executor::Executor(Options options) : options_(options) {
-  std::size_t workers = options_.num_workers;
+Executor::Executor(Options options) {
+  std::size_t workers = options.num_workers;
   if (workers == 0) {
     workers = std::thread::hardware_concurrency();
     if (workers == 0) workers = 1;
   }
-  std::size_t stripes = options_.num_stripes;
-  if (stripes == 0) stripes = workers;
-  if (options_.default_queue_capacity == 0) {
-    options_.default_queue_capacity = 1;
-  }
-  stripes_.reserve(stripes);
-  for (std::size_t i = 0; i < stripes; ++i) {
+  stripes_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     stripes_.push_back(std::make_unique<Stripe>());
   }
   workers_.reserve(workers);
@@ -114,7 +107,7 @@ Executor::~Executor() { shutdown(); }
 
 std::shared_ptr<Executor::SerialQueue> Executor::make_queue(
     std::size_t capacity) {
-  if (capacity == 0) capacity = options_.default_queue_capacity;
+  if (capacity == 0) capacity = 1;
   const std::size_t stripe =
       next_stripe_.fetch_add(1, std::memory_order_relaxed) % stripes_.size();
   // Private constructor: make_shared can't reach it, and the queue count is
@@ -202,8 +195,7 @@ void Executor::drain_one(const std::shared_ptr<SerialQueue>& queue) {
   if (more) enqueue_ready(queue);
 }
 
-void Executor::worker_loop(std::size_t worker_index) {
-  const std::size_t home = worker_index % stripes_.size();
+void Executor::worker_loop(std::size_t home) {
   for (;;) {
     auto queue = acquire(home);
     if (queue) {

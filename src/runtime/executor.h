@@ -28,7 +28,7 @@ enum class SubmitResult {
 [[nodiscard]] std::string to_string(SubmitResult result);
 
 /// A fixed pool of worker threads multiplexing many lightweight serial
-/// queues ("actors") over a small set of stripes — the session-parallel
+/// queues ("actors") over one stripe per worker — the session-parallel
 /// spine: thousands of open sessions, each pinned to its own SerialQueue,
 /// share the pool without a thread per session and without per-session
 /// locks in the work they run.
@@ -66,12 +66,9 @@ class Executor {
   using Task = std::function<void()>;
 
   struct Options {
-    /// Worker threads; 0 means std::thread::hardware_concurrency().
+    /// Worker threads, each with its home stripe; 0 means
+    /// std::thread::hardware_concurrency().
     std::size_t num_workers = 0;
-    /// Ready-list stripes; 0 means one per worker.
-    std::size_t num_stripes = 0;
-    /// Mailbox capacity used by make_queue(0).
-    std::size_t default_queue_capacity = 32;
   };
 
   /// One actor mailbox. Created by Executor::make_queue; all methods are
@@ -117,26 +114,19 @@ class Executor {
     bool closed_ WAGG_GUARDED_BY(mutex_) = false;
   };
 
-  // Two constructors instead of one defaulted argument: `Options{}` cannot
-  // be evaluated inside the enclosing class (nested-aggregate default
-  // member initializers are only available once Executor is complete).
-  Executor();
   explicit Executor(Options options);
   ~Executor();  ///< runs shutdown()
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Creates a mailbox pinned to the next stripe (round-robin).
-  /// capacity 0 uses Options::default_queue_capacity.
-  [[nodiscard]] std::shared_ptr<SerialQueue> make_queue(
-      std::size_t capacity = 0) WAGG_EXCLUDES(queues_mutex_);
+  /// Creates a mailbox of `capacity` tasks (0 reads as 1) pinned to the
+  /// next stripe (round-robin).
+  [[nodiscard]] std::shared_ptr<SerialQueue> make_queue(std::size_t capacity)
+      WAGG_EXCLUDES(queues_mutex_);
 
   [[nodiscard]] std::size_t num_workers() const noexcept {
     return workers_.size();
-  }
-  [[nodiscard]] std::size_t num_stripes() const noexcept {
-    return stripes_.size();
   }
   /// Tasks accepted but not yet finished (queued + running).
   [[nodiscard]] std::size_t pending_tasks() const noexcept {
@@ -153,7 +143,8 @@ class Executor {
     std::deque<std::shared_ptr<SerialQueue>> ready WAGG_GUARDED_BY(mutex);
   };
 
-  void worker_loop(std::size_t worker_index);
+  /// Worker `home`'s loop: drains its home stripe, steals from the rest.
+  void worker_loop(std::size_t home);
   /// Pops a ready queue, scanning stripes from `home`; nullptr if all empty.
   [[nodiscard]] std::shared_ptr<SerialQueue> acquire(std::size_t home);
   /// Puts a queue (whose scheduled_ flag is already set) on its stripe's
@@ -164,7 +155,7 @@ class Executor {
   void drain_one(const std::shared_ptr<SerialQueue>& queue);
   void finish_task() WAGG_EXCLUDES(sleep_mutex_);
 
-  Options options_;
+  /// One per worker; worker i's home is stripes_[i].
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::atomic<std::size_t> next_stripe_{0};
 

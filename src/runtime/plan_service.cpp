@@ -1,6 +1,7 @@
 #include "runtime/plan_service.h"
 
 #include <exception>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -150,13 +151,6 @@ constexpr PlanService::SessionId make_session_id(
          static_cast<PlanService::SessionId>(slot);
 }
 
-Executor::Options executor_options(const ServiceOptions& options) {
-  Executor::Options exec;
-  exec.num_workers = options.num_workers;
-  exec.default_queue_capacity = options.session_mailbox_capacity;
-  return exec;
-}
-
 }  // namespace
 
 std::string to_string(SessionStatus status) {
@@ -196,7 +190,7 @@ std::uint64_t snapshot_digest(const dynamic::DynamicPlanner& planner) {
 }
 
 PlanOutcome execute_request(const PlanRequest& request,
-                            std::size_t request_index, bool keep_plan) {
+                            std::size_t request_index) {
   PlanOutcome outcome;
   outcome.request_index = request_index;
   outcome.seed = request.seed;
@@ -214,8 +208,8 @@ PlanOutcome execute_request(const PlanRequest& request,
       metrics.request_ms.record(outcome.total_ms);
       return outcome;
     }
-    auto plan = core::plan_aggregation(request.points, request.config,
-                                       &outcome.times);
+    const auto plan = core::plan_aggregation(request.points, request.config,
+                                             &outcome.times);
     outcome.ok = true;
     outcome.num_links = plan.tree.links.size();
     outcome.slots = plan.schedule().length();
@@ -224,10 +218,6 @@ PlanOutcome execute_request(const PlanRequest& request,
     outcome.rate = plan.rate();
     outcome.verified = plan.verified();
     outcome.digest = plan_digest(plan);
-    if (keep_plan) {
-      outcome.plan =
-          std::make_shared<const core::PlanResult>(std::move(plan));
-    }
   } catch (const std::exception& e) {
     outcome.ok = false;
     outcome.error = e.what();
@@ -281,7 +271,8 @@ BatchStats summarize(const std::vector<PlanOutcome>& outcomes,
 }
 
 PlanService::PlanService(ServiceOptions options)
-    : options_(options), executor_(executor_options(options)) {}
+    : options_(options),
+      executor_(Executor::Options{.num_workers = options.num_workers}) {}
 
 PlanService::~PlanService() {
   // Drain while every member is still alive: queued session tasks touch
@@ -328,8 +319,7 @@ BatchResult PlanService::run(const std::vector<PlanRequest>& requests) {
         metrics.queue_ms.record(queue_ms);
         metrics.busy_workers.add(1.0);
         // Planning runs unlocked; each task writes only its own slot.
-        result.outcomes[i] =
-            execute_request(requests[i], i, options_.keep_plans);
+        result.outcomes[i] = execute_request(requests[i], i);
         result.outcomes[i].queue_ms = queue_ms;
         metrics.busy_workers.add(-1.0);
         {
@@ -410,24 +400,6 @@ void PlanService::release_session(const std::shared_ptr<Session>& session) {
   service_metrics().sessions_active.add(-1.0);
 }
 
-PlanService::SessionId PlanService::open_session(
-    const geom::Pointset& initial, const dynamic::DynamicOptions& options) {
-  // Plan the initial epoch before taking a slot: constructor exceptions
-  // (malformed input) propagate without leaking admission capacity.
-  auto planner = std::make_shared<dynamic::DynamicPlanner>(initial, options);
-  Resolved allocated = allocate_session();
-  if (allocated.status != SessionStatus::kOk) {
-    throw std::runtime_error("PlanService: session limit reached (" +
-                             std::to_string(options_.max_sessions) + ")");
-  }
-  {
-    util::MutexLock lock(allocated.session->mutex);
-    allocated.session->planner = std::move(planner);
-  }
-  return make_session_id(allocated.session->slot,
-                         allocated.session->generation);
-}
-
 std::future<OpenOutcome> PlanService::open_session_async(
     geom::Pointset initial, const dynamic::DynamicOptions& options) {
   auto promise = std::make_shared<std::promise<OpenOutcome>>();
@@ -489,9 +461,10 @@ std::future<OpenOutcome> PlanService::open_session_async(
   return future;
 }
 
-void PlanService::submit_epoch_task(SessionId id, dynamic::ChurnTrace epochs,
-                                    std::function<void(EpochOutcome)> done,
-                                    OnFull on_full) {
+void PlanService::submit_epoch(SessionId id,
+                               std::vector<dynamic::Mutation> mutations,
+                               std::function<void(EpochOutcome)> done,
+                               OnFull on_full) {
   auto& metrics = service_metrics();
   Resolved resolved = resolve(id);
   if (resolved.status != SessionStatus::kOk) {
@@ -511,9 +484,9 @@ void PlanService::submit_epoch_task(SessionId id, dynamic::ChurnTrace epochs,
   const auto enqueue_time = Clock::now();
   // The task copies `done` (rather than moving) so admission failures below
   // can still resolve the caller's callback.
-  Executor::Task task = [this, session, epochs = std::move(epochs),
+  Executor::Task task = [this, session, mutations = std::move(mutations),
                          enqueue_time, done] {
-    run_epoch_task(session, epochs, enqueue_time, done);
+    run_epoch_task(session, mutations, enqueue_time, done);
   };
   const SubmitResult submitted =
       on_full == OnFull::kBlock
@@ -527,10 +500,6 @@ void PlanService::submit_epoch_task(SessionId id, dynamic::ChurnTrace epochs,
     case SubmitResult::kQueueFull:
       outcome.status = SessionStatus::kMailboxFull;
       metrics.mailbox_rejects.add();
-      {
-        util::MutexLock lock(session->mutex);
-        ++session->rejects;
-      }
       break;
     case SubmitResult::kClosed:
       outcome.status = SessionStatus::kClosedSession;
@@ -545,7 +514,8 @@ void PlanService::submit_epoch_task(SessionId id, dynamic::ChurnTrace epochs,
 }
 
 void PlanService::run_epoch_task(
-    const std::shared_ptr<Session>& session, const dynamic::ChurnTrace& epochs,
+    const std::shared_ptr<Session>& session,
+    const std::vector<dynamic::Mutation>& mutations,
     util::Clock::time_point enqueue_time,
     const std::function<void(EpochOutcome)>& done) {
   auto& metrics = service_metrics();
@@ -553,8 +523,8 @@ void PlanService::run_epoch_task(
 
   EpochOutcome outcome;
   outcome.queue_ms = ms_since(enqueue_time);
-  // Satellite: session mailbox waits land in the SAME histogram as batch
-  // queue waits, so one metric compares batch and serve latency.
+  // Session mailbox waits land in the SAME histogram as batch queue waits,
+  // so one metric compares batch and serve latency.
   metrics.queue_ms.record(outcome.queue_ms);
 
   std::shared_ptr<dynamic::DynamicPlanner> planner;
@@ -576,19 +546,11 @@ void PlanService::run_epoch_task(
   obs::Span span("session_epoch");
   metrics.busy_workers.add(1.0);
   const auto start = Clock::now();
-  std::size_t applied = 0;
   try {
     // The serial queue is the session's mutual exclusion: at most one task
     // of this queue runs at a time, so the planner needs no lock here.
-    for (const auto& mutations : epochs) {
-      (void)planner->apply(std::span<const dynamic::Mutation>(mutations));
-      ++applied;
-    }
-    outcome.report = planner->last_report();
-  } catch (const std::invalid_argument& e) {
-    outcome.status = SessionStatus::kPlannerError;
-    outcome.invalid_argument = true;
-    outcome.error = e.what();
+    outcome.report = planner->apply(mutations);
+    metrics.session_epochs.add();
   } catch (const std::exception& e) {
     outcome.status = SessionStatus::kPlannerError;
     outcome.error = e.what();
@@ -598,68 +560,8 @@ void PlanService::run_epoch_task(
   }
   outcome.epoch_ms = ms_since(start);
   metrics.busy_workers.add(-1.0);
-  metrics.session_epochs.add(applied);
   metrics.session_epoch_ms.record(outcome.epoch_ms);
-  {
-    util::MutexLock lock(session->mutex);
-    session->epochs += applied;
-    session->epoch_ms.add(outcome.epoch_ms);
-    session->wait_ms.add(outcome.queue_ms);
-  }
   done(std::move(outcome));
-}
-
-std::future<EpochOutcome> PlanService::submit_epoch(
-    SessionId id, std::vector<dynamic::Mutation> mutations, OnFull on_full) {
-  dynamic::ChurnTrace trace;
-  trace.push_back(std::move(mutations));
-  auto promise = std::make_shared<std::promise<EpochOutcome>>();
-  auto future = promise->get_future();
-  submit_epoch_task(id, std::move(trace),
-                    [promise](EpochOutcome outcome) {
-                      promise->set_value(std::move(outcome));
-                    },
-                    on_full);
-  return future;
-}
-
-void PlanService::submit_epoch(SessionId id,
-                               std::vector<dynamic::Mutation> mutations,
-                               std::function<void(EpochOutcome)> done,
-                               OnFull on_full) {
-  dynamic::ChurnTrace trace;
-  trace.push_back(std::move(mutations));
-  submit_epoch_task(id, std::move(trace), std::move(done), on_full);
-}
-
-std::future<EpochOutcome> PlanService::submit_epochs(SessionId id,
-                                                     dynamic::ChurnTrace epochs,
-                                                     OnFull on_full) {
-  auto promise = std::make_shared<std::promise<EpochOutcome>>();
-  auto future = promise->get_future();
-  submit_epoch_task(id, std::move(epochs),
-                    [promise](EpochOutcome outcome) {
-                      promise->set_value(std::move(outcome));
-                    },
-                    on_full);
-  return future;
-}
-
-dynamic::EpochReport PlanService::advance_session(
-    SessionId id, std::span<const dynamic::Mutation> mutations) {
-  auto future = submit_epoch(
-      id, std::vector<dynamic::Mutation>(mutations.begin(), mutations.end()),
-      OnFull::kBlock);
-  EpochOutcome outcome = future.get();
-  if (outcome.status == SessionStatus::kOk) return outcome.report;
-  // Historic contract: lifecycle misuse and planner-rejected mutations both
-  // surface as std::invalid_argument from the synchronous API.
-  if (outcome.invalid_argument ||
-      outcome.status == SessionStatus::kUnknownSession ||
-      outcome.status == SessionStatus::kClosedSession) {
-    throw std::invalid_argument(outcome.error);
-  }
-  throw std::runtime_error(outcome.error);
 }
 
 std::shared_ptr<const dynamic::DynamicPlanner> PlanService::session(
@@ -680,32 +582,6 @@ std::shared_ptr<const dynamic::DynamicPlanner> PlanService::session(
 
 std::uint64_t PlanService::session_digest(SessionId id) const {
   return snapshot_digest(*session(id));
-}
-
-SessionStats PlanService::session_stats(SessionId id) const {
-  Resolved resolved = resolve(id);
-  if (resolved.status != SessionStatus::kOk) {
-    throw std::invalid_argument("PlanService: " + to_string(resolved.status) +
-                                " for session id " + std::to_string(id));
-  }
-  SessionStats stats;
-  stats.queue_depth = resolved.session->queue->depth();
-  util::MutexLock lock(resolved.session->mutex);
-  stats.epochs = resolved.session->epochs;
-  stats.mailbox_rejects = resolved.session->rejects;
-  stats.latency = summarize_stage(resolved.session->epoch_ms);
-  stats.wait = summarize_stage(resolved.session->wait_ms);
-  if (!resolved.session->epoch_ms.empty()) {
-    stats.p99_ms =
-        obs::HistogramSnapshot::of(resolved.session->epoch_ms.values())
-            .quantile(99.0);
-  }
-  if (!resolved.session->wait_ms.empty()) {
-    stats.wait_p99_ms =
-        obs::HistogramSnapshot::of(resolved.session->wait_ms.values())
-            .quantile(99.0);
-  }
-  return stats;
 }
 
 SessionStatus PlanService::close_session(SessionId id) {

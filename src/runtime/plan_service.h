@@ -6,7 +6,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "runtime/executor.h"
 #include "util/clock.h"
 #include "util/mutex.h"
-#include "util/stats.h"
 #include "util/thread_annotations.h"
 
 namespace wagg::runtime {
@@ -31,9 +29,6 @@ namespace wagg::runtime {
 /// When `trace` is non-empty the request is a churn session: the pointset is
 /// planned once, then each trace entry is applied as one incremental epoch
 /// (dynamic::DynamicPlanner), and the outcome summarizes the whole session.
-/// Session outcomes never carry a PlanResult — ServiceOptions::keep_plans
-/// does not apply to them (open a PlanService session instead to inspect a
-/// live planner's Snapshot).
 struct PlanRequest {
   geom::Pointset points;
   core::PlannerConfig config;
@@ -82,21 +77,16 @@ struct PlanOutcome {
   // Provenance copied from the request.
   std::uint64_t seed = 0;
   std::string tags;
-
-  /// Full plan, retained only when ServiceOptions::keep_plans is set.
-  std::shared_ptr<const core::PlanResult> plan;
 };
 
 struct ServiceOptions {
   /// Worker threads in the pool; 0 means std::thread::hardware_concurrency().
   /// The executor keeps one ready-list stripe per worker.
   std::size_t num_workers = 0;
-  /// Retain the full PlanResult on each outcome (memory-heavy for big
-  /// batches; summaries and digests are always available).
-  bool keep_plans = false;
 
   // ---- session serving knobs ----
-  /// Admission control: open_session beyond this fails with kSessionLimit.
+  /// Admission control: open_session_async beyond this fails with
+  /// kSessionLimit.
   std::size_t max_sessions = 4096;
   /// Bounded per-session mailbox: epochs queued but not yet started. A full
   /// mailbox rejects (or blocks, per submit mode) — the backpressure seam.
@@ -140,8 +130,7 @@ struct BatchResult {
 /// exact function each worker runs, exposed so serial baselines and tests
 /// compare against the same code path.
 [[nodiscard]] PlanOutcome execute_request(const PlanRequest& request,
-                                          std::size_t request_index,
-                                          bool keep_plan = false);
+                                          std::size_t request_index);
 
 // --------------------------------------------------------------- sessions
 
@@ -160,7 +149,7 @@ enum class SessionStatus {
   kMailboxFull,
   /// The service is shutting down.
   kShutdown,
-  /// open_session refused: ServiceOptions::max_sessions reached.
+  /// open_session_async refused: ServiceOptions::max_sessions reached.
   kSessionLimit,
   /// The planner itself rejected the work (bad mutations, failed open);
   /// `error` carries the message.
@@ -170,13 +159,9 @@ enum class SessionStatus {
 [[nodiscard]] std::string to_string(SessionStatus status);
 
 /// What one submitted epoch produced. On admission failure (kMailboxFull,
-/// kClosedSession, ...) the outcome resolves immediately with the status and
-/// a default report.
+/// kClosedSession, ...) it carries the status and a default report.
 struct EpochOutcome {
   SessionStatus status = SessionStatus::kOk;
-  /// True when the planner threw std::invalid_argument (caller error) as
-  /// opposed to an internal failure — advance_session rethrows faithfully.
-  bool invalid_argument = false;
   std::string error;  ///< non-empty iff status != kOk
   dynamic::EpochReport report;
   double queue_ms = 0.0;  ///< mailbox wait, enqueue to start
@@ -190,28 +175,16 @@ struct OpenOutcome {
   std::string error;
 };
 
-/// Per-session serving statistics, maintained by the session's serial queue
-/// (same HistogramSnapshot quantile currency as every other summary).
-struct SessionStats {
-  std::size_t epochs = 0;           ///< epochs applied via submit/advance
-  std::size_t mailbox_rejects = 0;  ///< kMailboxFull submits
-  std::size_t queue_depth = 0;      ///< epochs enqueued, not yet started
-  StageSummary latency;             ///< per-epoch execution ms
-  double p99_ms = 0.0;              ///< p99 of the same distribution
-  StageSummary wait;                ///< mailbox wait ms
-  double wait_p99_ms = 0.0;
-};
-
 /// What a full mailbox does to a submit.
 enum class OnFull {
-  kReject,  ///< resolve immediately with kMailboxFull
+  kReject,  ///< refuse inline with kMailboxFull; never blocks
   kBlock,   ///< wait for space (close/shutdown still resolve typed)
 };
 
 /// Order-sensitive digest of a dynamic planner's current plan (compact ids,
 /// sink, schedule slots). Two planners that applied the same epochs in the
-/// same order digest identically — the cross-path equality currency between
-/// the synchronous and asynchronous session APIs.
+/// same order digest identically — the equality currency between a service
+/// session and a serial replay of its epochs.
 [[nodiscard]] std::uint64_t snapshot_digest(
     const dynamic::DynamicPlanner& planner);
 
@@ -257,63 +230,38 @@ class PlanService {
   /// kClosedSession, never to a stranger's session.
   using SessionId = std::uint64_t;
 
-  /// Opens a session and plans its initial epoch on the calling thread.
-  /// Throws std::invalid_argument for malformed inputs (mirrors
-  /// DynamicPlanner's constructor) and std::runtime_error when the session
-  /// limit is reached (use open_session_async for a typed outcome).
-  [[nodiscard]] SessionId open_session(const geom::Pointset& initial,
-                                       const dynamic::DynamicOptions& options);
-
   /// Opens a session asynchronously: the slot is allocated (admission
   /// checked) immediately, the initial full plan runs on the pool as the
-  /// session's first queue task. Epochs submitted before the open resolves
-  /// queue behind it in order. A failed construction closes the session and
+  /// session's first queue task, and the future carries the id once that
+  /// task has planned. A failed construction closes the session and
   /// resolves kPlannerError.
   [[nodiscard]] std::future<OpenOutcome> open_session_async(
       geom::Pointset initial, const dynamic::DynamicOptions& options);
 
-  /// Enqueues one epoch of mutations on the session's serial queue.
-  /// The returned future resolves when the epoch has been applied (or
-  /// immediately, with a typed status, when admission fails). Never throws
-  /// for lifecycle misuse.
-  [[nodiscard]] std::future<EpochOutcome> submit_epoch(
-      SessionId id, std::vector<dynamic::Mutation> mutations,
-      OnFull on_full = OnFull::kReject);
-
-  /// Callback form: `done` runs on the worker that applied the epoch (or
-  /// inline on admission failure). Callbacks must not block; try_submit
-  /// from inside them is fine, blocking submits are not.
+  /// Enqueues one epoch of mutations on the session's serial queue and
+  /// calls `done` exactly once with its outcome:
+  ///   - an admission failure (unknown or closed session, full mailbox
+  ///     under kReject, shutdown) calls it on the submitting thread before
+  ///     submit_epoch returns;
+  ///   - an accepted epoch calls it on the worker that applied it.
+  /// kReject never blocks. Never throws for lifecycle misuse. Callbacks
+  /// must not block; a kReject submit from inside one is fine, a kBlock
+  /// submit is not.
   void submit_epoch(SessionId id, std::vector<dynamic::Mutation> mutations,
                     std::function<void(EpochOutcome)> done,
                     OnFull on_full = OnFull::kReject);
-
-  /// Enqueues a whole batch of epochs as ONE mailbox entry (amortizes queue
-  /// overhead for trace replay). The future resolves after the LAST epoch,
-  /// carrying its report; timings sum over the batch.
-  [[nodiscard]] std::future<EpochOutcome> submit_epochs(
-      SessionId id, dynamic::ChurnTrace epochs,
-      OnFull on_full = OnFull::kReject);
-
-  /// Synchronous wrapper over submit_epoch(kBlock): blocks until the epoch
-  /// ran, preserving the historic contract — std::invalid_argument for
-  /// unknown/closed sessions and for planner-rejected mutations.
-  dynamic::EpochReport advance_session(
-      SessionId id, std::span<const dynamic::Mutation> mutations);
 
   /// Read access to a session's planner (last report, snapshot, ...). The
   /// returned shared_ptr keeps the planner alive even if the session is
   /// closed concurrently. Throws std::invalid_argument for unknown/closed
   /// ids. Safe to READ only while no epochs are in flight for the session
-  /// (drain first: wait on your futures).
+  /// (drain first: wait for your callbacks).
   [[nodiscard]] std::shared_ptr<const dynamic::DynamicPlanner> session(
       SessionId id) const;
 
   /// snapshot_digest of the session's current plan (same caveat as
   /// session(): meaningful when no epochs are in flight).
   [[nodiscard]] std::uint64_t session_digest(SessionId id) const;
-
-  /// Per-session serving stats; throws like session().
-  [[nodiscard]] SessionStats session_stats(SessionId id) const;
 
   /// Graceful close: stops new submits (they resolve kClosedSession),
   /// drains already-queued epochs, then frees the slot. Returns the typed
@@ -332,17 +280,13 @@ class PlanService {
     std::uint32_t slot = 0;
     std::uint32_t generation = 0;
 
-    /// Guards planner (set once by the open task under async open) and the
-    /// serving stats below. Uncontended: writers are the session's serial
-    /// tasks plus the submit path's reject counter.
+    /// Guards the open task's result: the planner, or why it failed. The
+    /// open task (the queue's first) writes it once; later tasks of the
+    /// queue and session() read it.
     mutable util::Mutex mutex;
     std::shared_ptr<dynamic::DynamicPlanner> planner WAGG_GUARDED_BY(mutex);
     bool open_failed WAGG_GUARDED_BY(mutex) = false;
     std::string open_error WAGG_GUARDED_BY(mutex);
-    util::Samples epoch_ms WAGG_GUARDED_BY(mutex);
-    util::Samples wait_ms WAGG_GUARDED_BY(mutex);
-    std::size_t epochs WAGG_GUARDED_BY(mutex) = 0;
-    std::size_t rejects WAGG_GUARDED_BY(mutex) = 0;
   };
 
   struct Slot {
@@ -362,15 +306,10 @@ class PlanService {
   /// Frees a slot if `session` still owns it (idempotent across racers).
   void release_session(const std::shared_ptr<Session>& session)
       WAGG_EXCLUDES(sessions_mutex_);
-  /// The one submit path: builds the epoch task (single- or multi-epoch),
-  /// enqueues it, resolves admission failures inline.
-  void submit_epoch_task(SessionId id, dynamic::ChurnTrace epochs,
-                         std::function<void(EpochOutcome)> done,
-                         OnFull on_full);
-  /// Runs inside the session's serial queue: applies the epochs, fills the
-  /// outcome, updates per-session and registry stats.
+  /// Runs inside the session's serial queue: applies the epoch, fills the
+  /// outcome, updates the registry's serving metrics, calls `done`.
   void run_epoch_task(const std::shared_ptr<Session>& session,
-                      const dynamic::ChurnTrace& epochs,
+                      const std::vector<dynamic::Mutation>& mutations,
                       util::Clock::time_point enqueue_time,
                       const std::function<void(EpochOutcome)>& done);
 

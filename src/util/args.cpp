@@ -50,7 +50,7 @@ auto parse_whole(const std::string& key, const std::string& text,
     const auto value = parse(text, &consumed);
     if (consumed == text.size()) return value;
   } catch (const std::logic_error&) {
-    // std::invalid_argument or std::out_of_range from stod / stoll.
+    // std::invalid_argument or std::out_of_range from the parse.
   }
   throw std::invalid_argument("Args: --" + key + " is not " + what + ": " +
                               text);
@@ -58,13 +58,30 @@ auto parse_whole(const std::string& key, const std::string& text,
 
 }  // namespace
 
+std::size_t parse_count(const std::string& key, const std::string& text) {
+  return parse_whole(key, text, "a count",
+                     [](const std::string& item, std::size_t* consumed) {
+                       // stoull skips blanks and wraps a leading minus; a
+                       // count starts with a digit.
+                       if (item.empty() || item[0] < '0' || item[0] > '9') {
+                         throw std::invalid_argument(item);
+                       }
+                       return static_cast<std::size_t>(
+                           std::stoull(item, consumed));
+                     });
+}
+
+double parse_number(const std::string& key, const std::string& text) {
+  return parse_whole(key, text, "a number",
+                     [](const std::string& item, std::size_t* consumed) {
+                       return std::stod(item, consumed);
+                     });
+}
+
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return parse_whole(key, it->second, "a number",
-                     [](const std::string& text, std::size_t* consumed) {
-                       return std::stod(text, consumed);
-                     });
+  return parse_number(key, it->second);
 }
 
 long long Args::get_int(const std::string& key, long long fallback) const {
@@ -74,6 +91,13 @@ long long Args::get_int(const std::string& key, long long fallback) const {
                      [](const std::string& text, std::size_t* consumed) {
                        return std::stoll(text, consumed);
                      });
+}
+
+std::size_t Args::get_count(const std::string& key,
+                            std::size_t fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_count(key, it->second);
 }
 
 }  // namespace wagg::util

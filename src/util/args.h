@@ -1,6 +1,7 @@
 #ifndef WAGG_UTIL_ARGS_H
 #define WAGG_UTIL_ARGS_H
 
+#include <cstddef>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -26,10 +27,21 @@ class Args {
                                   double fallback) const;
   [[nodiscard]] long long get_int(const std::string& key,
                                   long long fallback) const;
+  /// A non-negative integer: "-1" throws (`Args: --repeat is not a count:
+  /// -1`) where a cast of get_int would wrap it to ~1.8e19.
+  [[nodiscard]] std::size_t get_count(const std::string& key,
+                                      std::size_t fallback) const;
 
  private:
   std::map<std::string, std::string> values_;
 };
+
+/// The whole-value parses behind get_count and get_double, for the items
+/// of a comma-separated list flag: `text` is one item of --`key`.
+[[nodiscard]] std::size_t parse_count(const std::string& key,
+                                      const std::string& text);
+[[nodiscard]] double parse_number(const std::string& key,
+                                  const std::string& text);
 
 }  // namespace wagg::util
 

@@ -1026,33 +1026,6 @@ TEST(DynamicPlanner, RejectsBadOptions) {
   EXPECT_THROW(DynamicPlanner(points, options), std::invalid_argument);
 }
 
-TEST(PlanServiceSessions, StatePersistsAcrossAdvances) {
-  runtime::PlanService service(runtime::ServiceOptions{.num_workers = 2});
-  const auto points = workload::make_family("uniform", 48, 6);
-  DynamicOptions options;
-  options.config = workload::mode_config(core::PowerMode::kGlobal);
-
-  const auto id = service.open_session(points, options);
-  EXPECT_EQ(service.num_sessions(), 1u);
-  EXPECT_EQ(service.session(id)->epoch(), 0u);
-
-  ChurnParams params;
-  params.epochs = 3;
-  params.rate = 0.05;
-  const auto trace = make_churn_trace(points, params, 10);
-  for (std::size_t e = 0; e < trace.size(); ++e) {
-    const auto report = service.advance_session(id, trace[e]);
-    EXPECT_EQ(report.epoch, e + 1);
-    EXPECT_TRUE(report.valid);
-  }
-  EXPECT_EQ(service.session(id)->epoch(), trace.size());
-
-  service.close_session(id);
-  EXPECT_EQ(service.num_sessions(), 0u);
-  EXPECT_THROW((void)service.advance_session(id, {}),
-               std::invalid_argument);
-}
-
 TEST(PlanServiceSessions, ChurnRequestsRunThroughBatches) {
   const auto spec = workload::WorkloadSpec::parse(
       "families=uniform,cluster sizes=40 modes=global reps=2 seed=5 "

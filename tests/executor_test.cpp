@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -68,7 +69,7 @@ TEST(Executor, SerialQueueNeverRunsConcurrently) {
 TEST(Executor, QueuesRunConcurrentlyAcrossWorkers) {
   // Two queues, two workers: tasks that wait on each other can only finish
   // if the pool really runs the queues in parallel.
-  Executor executor(Executor::Options{.num_workers = 2, .num_stripes = 2});
+  Executor executor(Executor::Options{.num_workers = 2});
   auto a = executor.make_queue(4);
   auto b = executor.make_queue(4);
   std::mutex mutex;
@@ -261,7 +262,7 @@ TEST(Executor, ShutdownConcurrentWithSubmittersRunsEveryAcceptedTask) {
   // observes the flag and rejects. The invariant under concurrent
   // shutdown is therefore exact: ran == accepted.
   for (int round = 0; round < 20; ++round) {
-    Executor executor(Executor::Options{.num_workers = 2, .num_stripes = 2});
+    Executor executor(Executor::Options{.num_workers = 2});
     constexpr int kThreads = 4;
     std::vector<std::shared_ptr<Executor::SerialQueue>> queues;
     for (int q = 0; q < kThreads; ++q) {
@@ -296,25 +297,58 @@ TEST(Executor, ShutdownConcurrentWithSubmittersRunsEveryAcceptedTask) {
 }
 
 TEST(Executor, WorkStealingCoversAllStripes) {
-  // More stripes than workers: queues pinned to stripes no worker calls
-  // home must still be drained via the steal scan.
-  Executor executor(Executor::Options{.num_workers = 1, .num_stripes = 7});
-  EXPECT_EQ(executor.num_stripes(), 7u);
-  std::atomic<int> ran{0};
+  // Two workers, so two stripes, and one worker parked on a gate: the other
+  // must drain queues on both stripes, the gate holder's home by stealing.
+  Executor executor(Executor::Options{.num_workers = 2});
+  auto gate = executor.make_queue(1);
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool release = false;
+  int ran = 0;
+  ASSERT_EQ(gate->try_submit([&] {
+              std::unique_lock<std::mutex> lock(mutex);
+              started = true;
+              cv.notify_all();
+              cv.wait(lock, [&] { return release; });
+            }),
+            SubmitResult::kAccepted);
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return started; });
+  }
+
+  constexpr int kQueues = 14;
   std::vector<std::shared_ptr<Executor::SerialQueue>> queues;
-  for (int q = 0; q < 14; ++q) {
+  std::set<std::size_t> stripes;
+  for (int q = 0; q < kQueues; ++q) {
     queues.push_back(executor.make_queue(4));
-    ASSERT_EQ(queues.back()->try_submit([&ran] { ran.fetch_add(1); }),
+    stripes.insert(queues.back()->stripe());
+    ASSERT_EQ(queues.back()->try_submit([&] {
+                std::lock_guard<std::mutex> lock(mutex);
+                ++ran;
+                cv.notify_all();
+              }),
               SubmitResult::kAccepted);
   }
+  EXPECT_EQ(stripes.size(), 2u);
+  {
+    // Bounded wait: without stealing, half the tasks sit behind the gate.
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return ran == kQueues; }))
+        << ran << " of " << kQueues << " ran while the gate was held";
+    release = true;
+  }
+  cv.notify_all();
   for (auto& queue : queues) queue->wait_drained();
-  EXPECT_EQ(ran.load(), 14);
+  gate->wait_drained();
 }
 
 TEST(Executor, ConcurrentSubmittersStress) {
   // Cross-thread submit storm over shared queues: the TSan target for the
   // mailbox/ready-list/sleep protocol.
-  Executor executor(Executor::Options{.num_workers = 4, .num_stripes = 4});
+  Executor executor(Executor::Options{.num_workers = 4});
   constexpr int kQueues = 16;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 200;
@@ -343,10 +377,10 @@ TEST(Executor, ConcurrentSubmittersStress) {
 }
 
 TEST(Executor, DeepMailboxDoesNotStarveSiblings) {
-  // One queue with many tasks, one with a single task, one worker, ONE
+  // One queue with many tasks, one with a single task, one worker, so ONE
   // stripe: round-robin requeueing must let the single task run before the
   // deep mailbox finishes.
-  Executor executor(Executor::Options{.num_workers = 1, .num_stripes = 1});
+  Executor executor(Executor::Options{.num_workers = 1});
   auto deep = executor.make_queue(128);
   auto shallow = executor.make_queue(4);
 

@@ -94,23 +94,6 @@ TEST(PlanService, TimingsAndStatsPopulated) {
   EXPECT_GE(result.stats.total_latency.max, result.stats.total_latency.p95);
 }
 
-TEST(PlanService, KeepPlansRetainsFullResult) {
-  const auto requests = small_batch(2);
-  PlanService service(ServiceOptions{.num_workers = 2, .keep_plans = true});
-  const auto result = service.run(requests);
-  for (const auto& outcome : result.outcomes) {
-    ASSERT_TRUE(outcome.ok) << outcome.error;
-    ASSERT_NE(outcome.plan, nullptr);
-    EXPECT_EQ(outcome.plan->schedule().length(), outcome.slots);
-  }
-
-  PlanService summary_only(ServiceOptions{.num_workers = 2});
-  const auto lean = summary_only.run(requests);
-  for (const auto& outcome : lean.outcomes) {
-    EXPECT_EQ(outcome.plan, nullptr);
-  }
-}
-
 TEST(PlanService, EmptyBatchAndReuse) {
   PlanService service(ServiceOptions{.num_workers = 2});
   const auto empty = service.run({});

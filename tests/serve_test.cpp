@@ -15,6 +15,7 @@
 #include "dynamic/mutation.h"
 #include "geom/point.h"
 #include "instance/basic.h"
+#include "obs/metrics.h"
 #include "runtime/plan_service.h"
 #include "workload/workload.h"
 
@@ -41,6 +42,55 @@ dynamic::ChurnTrace trace_for(const geom::Pointset& initial,
   return dynamic::make_churn_trace(initial, params, seed);
 }
 
+// Opens a session and waits for its initial plan.
+PlanService::SessionId open(PlanService& service,
+                            const geom::Pointset& initial,
+                            const dynamic::DynamicOptions& options) {
+  const OpenOutcome outcome =
+      service.open_session_async(initial, options).get();
+  EXPECT_EQ(outcome.status, SessionStatus::kOk) << outcome.error;
+  return outcome.id;
+}
+
+// submit_epoch with its callback turned into a future: it resolves when
+// `done` runs, on the applying worker or inline on an admission failure.
+std::future<EpochOutcome> submit(PlanService& service,
+                                 PlanService::SessionId id,
+                                 std::vector<dynamic::Mutation> mutations,
+                                 OnFull on_full = OnFull::kReject) {
+  auto promise = std::make_shared<std::promise<EpochOutcome>>();
+  auto future = promise->get_future();
+  service.submit_epoch(
+      id, std::move(mutations),
+      [promise](EpochOutcome outcome) {
+        promise->set_value(std::move(outcome));
+      },
+      on_full);
+  return future;
+}
+
+// Submits an epoch that admission must refuse, checks that `done` ran on
+// this thread before submit_epoch returned, and returns its status.
+SessionStatus refused_inline(PlanService& service, PlanService::SessionId id) {
+  struct Seen {
+    std::atomic<bool> called{false};
+    std::thread::id thread;
+    SessionStatus status = SessionStatus::kOk;
+  };
+  auto seen = std::make_shared<Seen>();
+  service.submit_epoch(id, {}, [seen](EpochOutcome outcome) {
+    seen->thread = std::this_thread::get_id();
+    seen->status = outcome.status;
+    seen->called.store(true, std::memory_order_release);
+  });
+  if (!seen->called.load(std::memory_order_acquire)) {
+    ADD_FAILURE() << "done had not run when submit_epoch returned";
+    return SessionStatus::kOk;
+  }
+  EXPECT_EQ(seen->thread, std::this_thread::get_id());
+  return seen->status;
+}
+
 // The acceptance currency: async sessions produce plans digest-identical to
 // a serial DynamicPlanner fed the same trace, and per-session epochs run in
 // submit order no matter how many workers multiplex the pool.
@@ -65,13 +115,14 @@ TEST(Serve, AsyncMatchesSyncDigestAndOrder) {
     ids.push_back(outcome.id);
   }
   EXPECT_EQ(service.num_sessions(), kSessions);
+  EXPECT_EQ(service.session(ids[0])->epoch(), 0u);
 
   // Queue every epoch of every session before waiting on any of them.
   std::vector<std::vector<std::future<EpochOutcome>>> futures(kSessions);
   for (std::size_t e = 0; e < kEpochs; ++e) {
     for (std::size_t s = 0; s < kSessions; ++s) {
       futures[s].push_back(
-          service.submit_epoch(ids[s], traces[s][e], OnFull::kBlock));
+          submit(service, ids[s], traces[s][e], OnFull::kBlock));
     }
   }
   for (std::size_t s = 0; s < kSessions; ++s) {
@@ -80,10 +131,13 @@ TEST(Serve, AsyncMatchesSyncDigestAndOrder) {
       ASSERT_EQ(outcome.status, SessionStatus::kOk) << outcome.error;
       // report.epoch counts from 0 (the initial plan): submit order holds.
       EXPECT_EQ(outcome.report.epoch, e + 1);
+      EXPECT_TRUE(outcome.report.valid);
     }
   }
 
   for (std::size_t s = 0; s < kSessions; ++s) {
+    // The session's planner kept its state across the epochs.
+    EXPECT_EQ(service.session(ids[s])->epoch(), kEpochs);
     dynamic::DynamicPlanner serial(initials[s],
                                    dyn_options(core::PowerMode::kOblivious));
     for (const auto& epoch : traces[s]) {
@@ -96,31 +150,6 @@ TEST(Serve, AsyncMatchesSyncDigestAndOrder) {
   EXPECT_EQ(service.num_sessions(), 0u);
 }
 
-// submit_epochs queues a whole trace as ONE mailbox entry and lands on the
-// same plan as epoch-at-a-time submission.
-TEST(Serve, BatchedSubmitMatchesSingleEpochPath) {
-  PlanService service(ServiceOptions{.num_workers = 2});
-  const auto initial = points(48, 7);
-  const auto trace = trace_for(initial, 6, 77);
-
-  const auto batched =
-      service.open_session(initial, dyn_options(core::PowerMode::kOblivious));
-  EpochOutcome outcome =
-      service.submit_epochs(batched, trace, OnFull::kBlock).get();
-  ASSERT_EQ(outcome.status, SessionStatus::kOk) << outcome.error;
-  EXPECT_EQ(outcome.report.epoch, trace.size());
-
-  const auto stepped =
-      service.open_session(initial, dyn_options(core::PowerMode::kOblivious));
-  for (const auto& epoch : trace) {
-    (void)service.advance_session(
-        stepped, std::span<const dynamic::Mutation>(epoch));
-  }
-  EXPECT_EQ(service.session_digest(batched), service.session_digest(stepped));
-  (void)service.close_session(batched);
-  (void)service.close_session(stepped);
-}
-
 TEST(Serve, LifecycleStatusesAreTypedNotUB) {
   PlanService service(ServiceOptions{.num_workers = 2});
   const auto initial = points(40, 3);
@@ -128,21 +157,46 @@ TEST(Serve, LifecycleStatusesAreTypedNotUB) {
   // Never-issued ids resolve kUnknownSession everywhere.
   const PlanService::SessionId bogus = (std::uint64_t{7} << 32) | 123u;
   EXPECT_EQ(service.close_session(bogus), SessionStatus::kUnknownSession);
-  EXPECT_EQ(service.submit_epoch(bogus, {}).get().status,
+  EXPECT_EQ(submit(service, bogus, {}).get().status,
             SessionStatus::kUnknownSession);
   EXPECT_EQ(service.close_session(0), SessionStatus::kUnknownSession);
   EXPECT_THROW((void)service.session(bogus), std::invalid_argument);
-  EXPECT_THROW((void)service.session_stats(bogus), std::invalid_argument);
 
   const auto id =
-      service.open_session(initial, dyn_options(core::PowerMode::kUniform));
+      open(service, initial, dyn_options(core::PowerMode::kUniform));
   EXPECT_EQ(service.close_session(id), SessionStatus::kOk);
 
   // Closed ids are data, not UB: typed status, no exception on submit.
   EXPECT_EQ(service.close_session(id), SessionStatus::kClosedSession);
-  EXPECT_EQ(service.submit_epoch(id, {}).get().status,
+  EXPECT_EQ(submit(service, id, {}).get().status,
             SessionStatus::kClosedSession);
-  EXPECT_THROW((void)service.advance_session(id, {}), std::invalid_argument);
+  EXPECT_THROW((void)service.session(id), std::invalid_argument);
+}
+
+// The callback contract perfbench serve-mixed's carry logic depends on: an
+// admission failure calls `done` on the submitting thread before
+// submit_epoch returns (kMailboxFull is checked in the backpressure test
+// below), an accepted epoch calls it on the worker that applied it.
+TEST(Serve, DoneRunsInlineOnRefusalAndOnAWorkerOtherwise) {
+  PlanService service(ServiceOptions{.num_workers = 2});
+  const auto initial = points(40, 17);
+  const auto trace = trace_for(initial, 1, 19);
+
+  const PlanService::SessionId bogus = (std::uint64_t{7} << 32) | 123u;
+  EXPECT_EQ(refused_inline(service, bogus), SessionStatus::kUnknownSession);
+
+  const auto id =
+      open(service, initial, dyn_options(core::PowerMode::kUniform));
+  auto worker = std::make_shared<std::promise<std::thread::id>>();
+  auto ran_on = worker->get_future();
+  service.submit_epoch(id, trace[0], [worker](EpochOutcome outcome) {
+    EXPECT_EQ(outcome.status, SessionStatus::kOk) << outcome.error;
+    worker->set_value(std::this_thread::get_id());
+  });
+  EXPECT_NE(ran_on.get(), std::this_thread::get_id());
+
+  EXPECT_EQ(service.close_session(id), SessionStatus::kOk);
+  EXPECT_EQ(refused_inline(service, id), SessionStatus::kClosedSession);
 }
 
 TEST(Serve, GenerationTagDetectsSlotReuse) {
@@ -151,61 +205,61 @@ TEST(Serve, GenerationTagDetectsSlotReuse) {
   const auto trace = trace_for(initial, 2, 11);
 
   const auto first =
-      service.open_session(initial, dyn_options(core::PowerMode::kUniform));
+      open(service, initial, dyn_options(core::PowerMode::kUniform));
   EXPECT_EQ(service.close_session(first), SessionStatus::kOk);
 
   // max_sessions=1 forces the second open onto the SAME slot; only the
   // generation tag distinguishes the stale id from the live session.
   const auto second =
-      service.open_session(initial, dyn_options(core::PowerMode::kUniform));
+      open(service, initial, dyn_options(core::PowerMode::kUniform));
   ASSERT_NE(first, second);
-  EXPECT_EQ(service.submit_epoch(first, trace[0]).get().status,
+  EXPECT_EQ(submit(service, first, trace[0]).get().status,
             SessionStatus::kClosedSession);
-  EXPECT_EQ(service.submit_epoch(second, trace[0], OnFull::kBlock)
-                .get()
-                .status,
+  EXPECT_EQ(submit(service, second, trace[0], OnFull::kBlock).get().status,
             SessionStatus::kOk);
-  EXPECT_EQ(service.session_stats(second).epochs, 1u);
+  EXPECT_EQ(service.session(second)->epoch(), 1u);
   EXPECT_EQ(service.close_session(second), SessionStatus::kOk);
 }
 
 TEST(Serve, MailboxBackpressureRejectsAndCounts) {
+  // The gate outlives the service, whose destructor drains the session.
+  std::promise<void> entered;
+  std::promise<void> release;
+  const std::shared_future<void> released = release.get_future().share();
+  SessionStatus gated = SessionStatus::kShutdown;
+
   PlanService service(ServiceOptions{
       .num_workers = 1, .max_sessions = 4, .session_mailbox_capacity = 1});
   const auto initial = points(48, 9);
+  const auto trace = trace_for(initial, 3, 13);
   const auto id =
-      service.open_session(initial, dyn_options(core::PowerMode::kOblivious));
+      open(service, initial, dyn_options(core::PowerMode::kOblivious));
+  auto& rejects = obs::Registry::global().counter("service.mailbox_rejects");
+  const auto rejects_before = rejects.value();
 
-  // One long batched entry keeps the single worker busy; with a capacity-1
-  // mailbox, two immediate reject-mode submits cannot both be admitted.
-  auto big = service.submit_epochs(id, trace_for(initial, 20, 13),
-                                   OnFull::kBlock);
-  // The fillers move the sink (node 0) — valid no matter what the big trace
-  // did to the instance, and valid to apply any number of times.
-  dynamic::Mutation nudge;
-  nudge.kind = dynamic::Mutation::Kind::kMove;
-  nudge.node = 0;
-  nudge.position = initial[0];
-  auto a = service.submit_epoch(id, {nudge}, OnFull::kReject);
-  auto b = service.submit_epoch(id, {nudge}, OnFull::kReject);
-  const auto status_a = a.get().status;
-  const auto status_b = b.get().status;
-  EXPECT_TRUE(status_a == SessionStatus::kMailboxFull ||
-              status_b == SessionStatus::kMailboxFull)
-      << to_string(status_a) << " / " << to_string(status_b);
-  EXPECT_EQ(big.get().status, SessionStatus::kOk);
+  // Park the single worker inside an accepted epoch's callback: that task
+  // has left the mailbox, and nothing drains it until the gate opens.
+  service.submit_epoch(id, trace[0], [&](EpochOutcome outcome) {
+    gated = outcome.status;
+    entered.set_value();
+    released.wait();
+  });
+  entered.get_future().wait();
+  EXPECT_EQ(gated, SessionStatus::kOk);
+
+  // The next submit fills the capacity-1 mailbox; the one after is refused,
+  // inline, every time.
+  auto filler = submit(service, id, trace[1], OnFull::kReject);
+  EXPECT_EQ(refused_inline(service, id), SessionStatus::kMailboxFull);
+  EXPECT_EQ(rejects.value() - rejects_before, 1u);
 
   // Blocking submits ride out the backpressure instead.
-  EXPECT_EQ(service.submit_epoch(id, {nudge}, OnFull::kBlock).get().status,
+  release.set_value();
+  EXPECT_EQ(submit(service, id, trace[2], OnFull::kBlock).get().status,
             SessionStatus::kOk);
-
-  const SessionStats stats = service.session_stats(id);
-  EXPECT_GE(stats.mailbox_rejects, 1u);
-  EXPECT_GE(stats.epochs, 21u);
-  EXPECT_GE(stats.latency.max, stats.latency.p50);
-  EXPECT_GE(stats.p99_ms, stats.latency.p50);
-  EXPECT_EQ(stats.queue_depth, 0u);
-  (void)service.close_session(id);
+  EXPECT_EQ(filler.get().status, SessionStatus::kOk);
+  EXPECT_EQ(service.session(id)->epoch(), 3u);
+  EXPECT_EQ(service.close_session(id), SessionStatus::kOk);
 }
 
 TEST(Serve, AdmissionControlEnforcesSessionLimit) {
@@ -213,12 +267,10 @@ TEST(Serve, AdmissionControlEnforcesSessionLimit) {
   const auto initial = points(40, 21);
   const auto options = dyn_options(core::PowerMode::kUniform);
 
-  const auto a = service.open_session(initial, options);
-  const auto b = service.open_session(initial, options);
+  const auto a = open(service, initial, options);
+  const auto b = open(service, initial, options);
   OpenOutcome third = service.open_session_async(initial, options).get();
   EXPECT_EQ(third.status, SessionStatus::kSessionLimit);
-  EXPECT_THROW((void)service.open_session(initial, options),
-               std::runtime_error);
   EXPECT_EQ(service.num_sessions(), 2u);
 
   // Closing frees admission capacity.
@@ -233,24 +285,20 @@ TEST(Serve, PlannerErrorsAreTypedAndNonFatal) {
   PlanService service(ServiceOptions{.num_workers = 2});
   const auto initial = points(40, 31);
   const auto id =
-      service.open_session(initial, dyn_options(core::PowerMode::kUniform));
+      open(service, initial, dyn_options(core::PowerMode::kUniform));
 
   // Removing a node that does not exist is a caller error: typed outcome
-  // with the invalid_argument flag, and the sync wrapper rethrows it.
+  // carrying the planner's message.
   dynamic::Mutation bad;
   bad.kind = dynamic::Mutation::Kind::kRemove;
   bad.node = 9999;
-  EpochOutcome outcome = service.submit_epoch(id, {bad}).get();
+  EpochOutcome outcome = submit(service, id, {bad}).get();
   EXPECT_EQ(outcome.status, SessionStatus::kPlannerError);
-  EXPECT_TRUE(outcome.invalid_argument);
   EXPECT_FALSE(outcome.error.empty());
-  EXPECT_THROW((void)service.advance_session(
-                   id, std::span<const dynamic::Mutation>(&bad, 1)),
-               std::invalid_argument);
 
   // A failed epoch does not poison the session: the next valid epoch runs.
   const auto trace = trace_for(initial, 1, 41);
-  EXPECT_EQ(service.submit_epoch(id, trace[0], OnFull::kBlock).get().status,
+  EXPECT_EQ(submit(service, id, trace[0], OnFull::kBlock).get().status,
             SessionStatus::kOk);
   (void)service.close_session(id);
 }
@@ -267,15 +315,19 @@ TEST(Serve, FailedAsyncOpenFreesTheSlot) {
   EXPECT_FALSE(outcome.error.empty());
 
   // Epochs aimed at the failed session resolve typed, never run a planner.
-  EpochOutcome epoch = service.submit_epoch(outcome.id, {}).get();
+  EpochOutcome epoch = submit(service, outcome.id, {}).get();
   EXPECT_NE(epoch.status, SessionStatus::kOk);
 
   // The slot was released — with max_sessions=1 a fresh open only succeeds
   // if the failed one gave its capacity back.
-  const auto id = service.open_session(points(40, 51),
-                                       dyn_options(core::PowerMode::kUniform));
+  OpenOutcome reopened =
+      service
+          .open_session_async(points(40, 51),
+                              dyn_options(core::PowerMode::kUniform))
+          .get();
+  EXPECT_EQ(reopened.status, SessionStatus::kOk) << reopened.error;
   EXPECT_EQ(service.num_sessions(), 1u);
-  (void)service.close_session(id);
+  (void)service.close_session(reopened.id);
   EXPECT_EQ(service.num_sessions(), 0u);
 }
 
@@ -293,7 +345,7 @@ TEST(Serve, EpochsSubmittedBeforeOpenResolvesQueueBehindIt) {
   ASSERT_EQ(opened.status, SessionStatus::kOk) << opened.error;
   std::vector<std::future<EpochOutcome>> futures;
   for (const auto& epoch : trace) {
-    futures.push_back(service.submit_epoch(opened.id, epoch, OnFull::kBlock));
+    futures.push_back(submit(service, opened.id, epoch, OnFull::kBlock));
   }
   std::size_t expected = 1;
   for (auto& future : futures) {
@@ -341,7 +393,7 @@ TEST(Serve, MixedLifecycleStress) {
         std::vector<std::future<EpochOutcome>> futures;
         for (std::size_t e = 0; e < trace.size(); ++e) {
           const OnFull mode = e % 2 == 0 ? OnFull::kBlock : OnFull::kReject;
-          futures.push_back(service.submit_epoch(opened.id, trace[e], mode));
+          futures.push_back(submit(service, opened.id, trace[e], mode));
         }
         for (auto& future : futures) {
           const auto status = future.get().status;
@@ -356,7 +408,7 @@ TEST(Serve, MixedLifecycleStress) {
         // Stale-id probes against the closed session race the other
         // threads' opens reusing the slot — the generation tag must keep
         // them typed either way.
-        const auto stale = service.submit_epoch(opened.id, {}).get().status;
+        const auto stale = submit(service, opened.id, {}).get().status;
         EXPECT_TRUE(stale == SessionStatus::kClosedSession ||
                     stale == SessionStatus::kUnknownSession)
             << to_string(stale);
@@ -376,10 +428,10 @@ TEST(Serve, DestructionDrainsOpenSessions) {
     PlanService service(ServiceOptions{.num_workers = 2});
     const auto initial = points(40, 81);
     const auto trace = trace_for(initial, 2, 91);
-    const auto id = service.open_session(
-        initial, dyn_options(core::PowerMode::kOblivious));
+    const auto id =
+        open(service, initial, dyn_options(core::PowerMode::kOblivious));
     for (const auto& epoch : trace) {
-      futures.push_back(service.submit_epoch(id, epoch, OnFull::kBlock));
+      futures.push_back(submit(service, id, epoch, OnFull::kBlock));
     }
   }
   for (auto& future : futures) {

@@ -285,6 +285,42 @@ TEST(Args, NumericValidation) {
   EXPECT_EQ(message([&] { return args.get_double("big", 0.0); }), "no throw");
 }
 
+TEST(Args, CountsRejectWhatACastWouldWrap) {
+  const char* argv[] = {"prog", "--repeat=-1", "--warmup=3", "--n= 5",
+                        "--top=+5", "--workers=12abc",
+                        "--big=18446744073709551616", "--empty="};
+  const Args args(8, argv,
+                  {"repeat", "warmup", "n", "top", "workers", "big", "empty"});
+  EXPECT_EQ(args.get_count("warmup", 0), 3u);
+  EXPECT_EQ(args.get_count("missing", 7), 7u);
+  const auto message = [](const auto& read) {
+    try {
+      (void)read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  EXPECT_EQ(message([&] { return args.get_count("repeat", 5); }),
+            "Args: --repeat is not a count: -1");
+  for (const char* key : {"n", "top", "workers", "big", "empty"}) {
+    EXPECT_EQ(message([&] { return args.get_count(key, 0); }).rfind(
+                  std::string("Args: --") + key + " is not a count: ", 0),
+              0u)
+        << key;
+  }
+  // The items of a list flag (wagg_serve --sessions / --rates) get the
+  // same whole-value checks.
+  EXPECT_EQ(parse_count("sessions", "250"), 250u);
+  EXPECT_EQ(message([] { return parse_count("sessions", "-1"); }),
+            "Args: --sessions is not a count: -1");
+  EXPECT_EQ(message([] { return parse_count("sessions", "12abc"); }),
+            "Args: --sessions is not a count: 12abc");
+  EXPECT_DOUBLE_EQ(parse_number("rates", "0.5"), 0.5);
+  EXPECT_EQ(message([] { return parse_number("rates", "2x"); }),
+            "Args: --rates is not a number: 2x");
+}
+
 TEST(ParallelFor, PoolHasOneHelperPerOtherCore) {
   const std::size_t cores =
       std::max(1u, std::thread::hardware_concurrency());

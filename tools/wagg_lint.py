@@ -104,7 +104,6 @@ from pathlib import Path
 GRANDFATHERED_STATS = {
     "RunningStats",        # util: Welford accumulator, a math helper
     "BatchStats",          # runtime: per-batch result summary
-    "SessionStats",        # runtime: per-session result summary
     "ConflictIndexStats",  # conflict: per-epoch engine-local marks,
                            # diffed INTO registry counters by the planner
     "IncrementalMstStats",  # mst: same engine-local-marks pattern
