@@ -435,7 +435,7 @@ ScenarioRun run_serve_scenario(std::size_t sessions, std::size_t n,
   // The session-parallel runtime scenario: long-lived sessions pinned to
   // executor serial queues, epochs submitted through the async API at max
   // rate. Unlike service/ (whole churn traces as batch requests) this
-  // measures the striped-executor serving path itself: open fan-out,
+  // measures the executor's serving path itself: open fan-out,
   // mailbox handoff per epoch, and submit-to-done latency.
   std::ostringstream spec_text;
   spec_text << "name=serve families=uniform sizes=" << n

@@ -1,5 +1,5 @@
 // Serving-runtime driver: open many concurrent churn sessions on the
-// striped executor and drive paced epoch rounds through the async session
+// session executor and drive paced epoch rounds through the async session
 // API, sweeping sessions x target epochs/sec into a max-sustained-sessions
 // curve under a p99 latency SLO.
 //

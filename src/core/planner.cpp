@@ -130,13 +130,12 @@ LinkScheduleResult schedule_links(const geom::LinkView& links,
       global ? schedule::JoinRule::power_control(links, config.sinr)
              : schedule::JoinRule::running_loads(links, config.sinr,
                                                  result.power);
-  if (config.repair) {
-    obs::StageSpan repair_stage(t.slot(Stage::kRepair));
-    auto repaired = schedule::repair_schedule(links, result.schedule, rule);
-    result.schedule = std::move(repaired.schedule);
-    result.slots_split = repaired.slots_split;
-  }
-  obs::StageSpan verify_stage(t.slot(Stage::kVerify));
+  obs::StageSpan repair_stage(t.slot(Stage::kRepair));
+  auto repaired = schedule::repair_schedule(links, result.schedule, rule);
+  result.schedule = std::move(repaired.schedule);
+  result.slots_split = repaired.slots_split;
+
+  repair_stage.next(t.slot(Stage::kVerify));
   // Verification certifies every final slot from scratch; under global
   // power each link takes its slot's certified vector entry.
   std::vector<double> stitched(global ? links.size() : 0, 0.0);

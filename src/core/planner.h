@@ -58,9 +58,6 @@ struct PlannerConfig {
   /// Exponent of the power-law conflict graph used for kOblivious; must
   /// exceed max(tau, 1-tau) for pairwise affectance to decay.
   double delta = 0.75;
-  /// Split any slot failing the exact SINR check (strongly recommended; the
-  /// theory's "large enough" constants are not exact for any finite gamma).
-  bool repair = true;
   /// Node index that collects the aggregate.
   std::int32_t sink = 0;
 
@@ -141,12 +138,13 @@ struct LinkScheduleResult {
   schedule::VerificationReport verification;
   /// Colors used by the conflict-graph coloring before repair.
   std::size_t colors_before_repair = 0;
-  /// Slots the repair pass had to split (0 when repair disabled or clean).
+  /// Slots the repair pass had to split (0 when every color class was
+  /// feasible).
   std::size_t slots_split = 0;
   /// The power every link transmits at, the plan's one power vector: the
   /// fixed assignment (uniform/linear/oblivious), or for kGlobal the log2
   /// Perron power verification certified in the link's slot (each link
-  /// sends in exactly one slot; 0 for links of a slot it rejected).
+  /// sends in exactly one slot).
   sinr::PowerAssignment power;
 
   [[nodiscard]] double rate() const { return schedule.coloring_rate(); }

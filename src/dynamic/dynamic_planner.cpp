@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -22,9 +21,6 @@ namespace wagg::dynamic {
 using core::Stage;
 
 namespace {
-
-/// log2_power_of_'s mark for a link whose slot has no certificate.
-constexpr double kNoPower = std::numeric_limits<double>::quiet_NaN();
 
 /// The planner's registry handles, resolved once (registration takes the
 /// registry mutex; after that every epoch publishes against stable
@@ -258,15 +254,6 @@ EpochReport DynamicPlanner::apply(std::span<const Mutation> mutations) {
   publish_epoch_metrics(report);
   report_ = report;
   return report;
-}
-
-std::vector<EpochReport> DynamicPlanner::apply_trace(const ChurnTrace& trace) {
-  std::vector<EpochReport> reports;
-  reports.reserve(trace.size());
-  for (const auto& epoch_mutations : trace) {
-    reports.push_back(apply(epoch_mutations));
-  }
-  return reports;
 }
 
 void DynamicPlanner::invalidate_carried_state() {
@@ -544,10 +531,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     report.valid = scheduled.verification.ok();
     if (global) {
       // Verification certified every slot; rewrite every entry from it.
-      auto lp = scheduled.power.log2_powers();
-      for (const auto s : scheduled.verification.infeasible_slots) {
-        for (const auto i : scheduled.schedule.slots[s]) lp[i] = kNoPower;
-      }
+      const auto& lp = scheduled.power.log2_powers();
       for (std::size_t i = 0; i < n; ++i) certified.emplace_back(i, lp[i]);
     }
     final_schedule = std::move(scheduled.schedule);
@@ -656,7 +640,7 @@ void DynamicPlanner::replan(const std::vector<NodeId>& touched,
     }
   }
   if (global) {
-    log2_power_of_.resize(store_.capacity(), kNoPower);
+    log2_power_of_.resize(store_.capacity(), 0.0);
     for (const auto& [i, p] : certified) {
       log2_power_of_[static_cast<std::size_t>(links.id_of(i))] = p;
     }
@@ -676,10 +660,7 @@ sinr::PowerAssignment DynamicPlanner::power() const {
   }
   std::vector<double> lp(links.size());
   for (std::size_t i = 0; i < links.size(); ++i) {
-    const double p = log2_power_of_[static_cast<std::size_t>(links.id_of(i))];
-    // NaN marks the links of a slot verification rejected (repair off):
-    // every member of that slot carries it, and each reads 0.
-    lp[i] = std::isnan(p) ? 0.0 : p;
+    lp[i] = log2_power_of_[static_cast<std::size_t>(links.id_of(i))];
   }
   return sinr::PowerAssignment(std::move(lp), "power-control");
 }

@@ -161,9 +161,6 @@ class DynamicPlanner {
     return apply(std::span<const Mutation>(&mutation, 1));
   }
 
-  /// Applies a whole churn trace, one epoch per entry.
-  std::vector<EpochReport> apply_trace(const ChurnTrace& trace);
-
   [[nodiscard]] const EpochReport& last_report() const noexcept {
     return report_;
   }
@@ -212,9 +209,8 @@ class DynamicPlanner {
   /// serves the whole schedule. Under kGlobal a link's entry is the log2
   /// Perron power its slot's last accepted check certified: a slot whose
   /// membership changed this epoch has the exact power_control_feasible
-  /// vector of its final members, a carried slot keeps its members'
-  /// previous entries, and a slot verification rejected (repair off) reads
-  /// 0. Fixed-power modes return core::power_for_mode.
+  /// vector of its final members, and a carried slot keeps its members'
+  /// previous entries. Fixed-power modes return core::power_for_mode.
   /// Solves nothing and costs O(n).
   [[nodiscard]] sinr::PowerAssignment power() const;
 
@@ -287,8 +283,7 @@ class DynamicPlanner {
   bool force_reconcile_ = true;
 
   /// kGlobal: each live link's certified log2 power from its final slot's
-  /// Perron vector, indexed by stable LinkId; NaN when that slot has no
-  /// certificate (verification rejected it). Written only when a plan is
+  /// Perron vector, indexed by stable LinkId. Written only when a plan is
   /// persisted, so a failed epoch leaves the previous plan's entries.
   std::vector<double> log2_power_of_;
 

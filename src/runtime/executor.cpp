@@ -1,5 +1,7 @@
 #include "runtime/executor.h"
 
+#include <algorithm>
+
 namespace wagg::runtime {
 
 std::string to_string(SubmitResult result) {
@@ -18,71 +20,67 @@ std::string to_string(SubmitResult result) {
 
 // ---------------------------------------------------------------- SerialQueue
 
-SubmitResult Executor::SerialQueue::try_submit(Task task) {
-  bool schedule = false;
-  {
-    util::MutexLock lock(mutex_);
-    if (executor_->shutting_down_.load(std::memory_order_acquire)) {
-      return SubmitResult::kShutdown;
-    }
-    if (closed_) return SubmitResult::kClosed;
-    if (tasks_.size() >= capacity_) return SubmitResult::kQueueFull;
-    tasks_.push_back(std::move(task));
-    executor_->pending_tasks_.fetch_add(1, std::memory_order_acq_rel);
-    if (!scheduled_) {
-      scheduled_ = true;
-      schedule = true;
-    }
+SubmitResult Executor::SerialQueue::admit(Task& task) {
+  if (executor_->shutting_down_) return SubmitResult::kShutdown;
+  if (closed_) return SubmitResult::kClosed;
+  if (tasks_.size() >= capacity_) return SubmitResult::kQueueFull;
+  tasks_.push_back(std::move(task));
+  ++executor_->pending_;
+  if (!scheduled_) {
+    scheduled_ = true;
+    executor_->ready_.push_back(shared_from_this());
+    executor_->work_cv_.notify_one();
   }
-  if (schedule) executor_->enqueue_ready(shared_from_this());
   return SubmitResult::kAccepted;
+}
+
+SubmitResult Executor::SerialQueue::try_submit(Task task) {
+  util::MutexLock lock(executor_->mutex_);
+  return admit(task);
 }
 
 SubmitResult Executor::SerialQueue::submit_blocking(Task task) {
-  bool schedule = false;
-  {
-    util::MutexLock lock(mutex_);
-    while (!closed_ && tasks_.size() >= capacity_ &&
-           !executor_->shutting_down_.load(std::memory_order_acquire)) {
-      space_cv_.wait(mutex_);
-    }
-    if (executor_->shutting_down_.load(std::memory_order_acquire)) {
-      return SubmitResult::kShutdown;
-    }
-    if (closed_) return SubmitResult::kClosed;
-    tasks_.push_back(std::move(task));
-    executor_->pending_tasks_.fetch_add(1, std::memory_order_acq_rel);
-    if (!scheduled_) {
-      scheduled_ = true;
-      schedule = true;
-    }
+  util::MutexLock lock(executor_->mutex_);
+  for (;;) {
+    const SubmitResult result = admit(task);
+    if (result != SubmitResult::kQueueFull) return result;
+    space_cv_.wait(executor_->mutex_);
   }
-  if (schedule) executor_->enqueue_ready(shared_from_this());
-  return SubmitResult::kAccepted;
 }
 
 void Executor::SerialQueue::close() {
-  {
-    util::MutexLock lock(mutex_);
-    closed_ = true;
-  }
-  // Blocked submitters must observe the close and give up.
+  util::MutexLock lock(executor_->mutex_);
+  closed_ = true;
   space_cv_.notify_all();
 }
 
-bool Executor::SerialQueue::closed() const {
-  util::MutexLock lock(mutex_);
-  return closed_;
-}
-
 void Executor::SerialQueue::wait_drained() {
-  util::MutexLock lock(mutex_);
-  while (!tasks_.empty() || scheduled_) idle_cv_.wait(mutex_);
+  util::MutexLock lock(executor_->mutex_);
+  while (scheduled_) idle_cv_.wait(executor_->mutex_);
 }
 
-std::size_t Executor::SerialQueue::depth() const {
-  util::MutexLock lock(mutex_);
-  return tasks_.size();
+void Executor::SerialQueue::run_one() {
+  Task task;
+  {
+    util::MutexLock lock(executor_->mutex_);
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
+  }
+  // Wake every blocked submitter, not one: a waiter that wakes into a close
+  // or a shutdown returns without taking the freed slot, and must not leave
+  // the others parked on a mailbox that nothing drains any more.
+  space_cv_.notify_all();
+  task();
+  util::MutexLock lock(executor_->mutex_);
+  if (--executor_->pending_ == 0) executor_->drained_cv_.notify_all();
+  if (tasks_.empty()) {
+    scheduled_ = false;
+    idle_cv_.notify_all();
+  } else {
+    // Back of the line: one task per turn. No worker needs waking, since
+    // this one pops from the ready list next.
+    executor_->ready_.push_back(shared_from_this());
+  }
 }
 
 // ------------------------------------------------------------------ Executor
@@ -90,16 +88,11 @@ std::size_t Executor::SerialQueue::depth() const {
 Executor::Executor(Options options) {
   std::size_t workers = options.num_workers;
   if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
-  stripes_.reserve(workers);
-  for (std::size_t i = 0; i < workers; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
+    workers = std::max(1u, std::thread::hardware_concurrency());
   }
   workers_.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -107,150 +100,38 @@ Executor::~Executor() { shutdown(); }
 
 std::shared_ptr<Executor::SerialQueue> Executor::make_queue(
     std::size_t capacity) {
-  if (capacity == 0) capacity = 1;
-  const std::size_t stripe =
-      next_stripe_.fetch_add(1, std::memory_order_relaxed) % stripes_.size();
   // Private constructor: make_shared can't reach it, and the queue count is
   // tiny next to the work it carries.
-  auto queue =  // wagg-lint: allow(naked-new) private ctor, owned immediately
-      std::shared_ptr<SerialQueue>(new SerialQueue(this, stripe, capacity));
-  {
-    util::MutexLock lock(queues_mutex_);
-    if (queues_.size() >= 64 && queues_.size() == queues_.capacity()) {
-      std::erase_if(queues_, [](const std::weak_ptr<SerialQueue>& weak) {
-        return weak.expired();
-      });
-    }
-    queues_.push_back(queue);
-  }
-  return queue;
+  const std::size_t slots = std::max<std::size_t>(capacity, 1);
+  // wagg-lint: allow(naked-new) private ctor, owned immediately
+  return std::shared_ptr<SerialQueue>(new SerialQueue(this, slots));
 }
 
-void Executor::enqueue_ready(std::shared_ptr<SerialQueue> queue) {
-  {
-    util::MutexLock lock(stripes_[queue->stripe()]->mutex);
-    stripes_[queue->stripe()]->ready.push_back(std::move(queue));
-  }
-  ready_count_.fetch_add(1, std::memory_order_release);
-  // Empty critical section: a worker that checked ready_count_ under
-  // sleep_mutex_ before our increment is guaranteed to be inside wait() by
-  // the time we acquire, so the notify below cannot be lost.
-  { util::MutexLock lock(sleep_mutex_); }
-  work_cv_.notify_one();
-}
-
-std::shared_ptr<Executor::SerialQueue> Executor::acquire(std::size_t home) {
-  const std::size_t count = stripes_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    Stripe& stripe = *stripes_[(home + i) % count];
-    util::MutexLock lock(stripe.mutex);
-    if (!stripe.ready.empty()) {
-      auto queue = std::move(stripe.ready.front());
-      stripe.ready.pop_front();
-      ready_count_.fetch_sub(1, std::memory_order_acq_rel);
-      return queue;
-    }
-  }
-  return nullptr;
-}
-
-void Executor::finish_task() {
-  if (pending_tasks_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-      shutting_down_.load(std::memory_order_acquire)) {
-    { util::MutexLock lock(sleep_mutex_); }
-    drained_cv_.notify_all();
-  }
-}
-
-void Executor::drain_one(const std::shared_ptr<SerialQueue>& queue) {
-  Task task;
-  {
-    util::MutexLock lock(queue->mutex_);
-    if (queue->tasks_.empty()) {
-      // Raced with nothing real: the queue was scheduled but its work is
-      // gone (cannot happen today, but parking it keeps the invariant).
-      queue->scheduled_ = false;
-      queue->idle_cv_.notify_all();
-      return;
-    }
-    task = std::move(queue->tasks_.front());
-    queue->tasks_.pop_front();
-  }
-  // A slot just freed: one blocked submitter may proceed.
-  queue->space_cv_.notify_one();
-  task();
-  finish_task();
-  bool more = false;
-  {
-    util::MutexLock lock(queue->mutex_);
-    if (queue->tasks_.empty()) {
-      queue->scheduled_ = false;
-      queue->idle_cv_.notify_all();
-    } else {
-      more = true;  // stays scheduled; we re-list it below
-    }
-  }
-  // Requeue at the BACK of the stripe: round-robin across queues, so one
-  // deep mailbox cannot monopolize a worker.
-  if (more) enqueue_ready(queue);
-}
-
-void Executor::worker_loop(std::size_t home) {
+void Executor::worker_loop() {
   for (;;) {
-    auto queue = acquire(home);
-    if (queue) {
-      drain_one(queue);
-      continue;
+    std::shared_ptr<SerialQueue> queue;
+    {
+      util::MutexLock lock(mutex_);
+      while (ready_.empty() && !stop_workers_) work_cv_.wait(mutex_);
+      if (ready_.empty()) return;
+      queue = std::move(ready_.front());
+      ready_.pop_front();
     }
-    util::MutexLock lock(sleep_mutex_);
-    while (!stop_workers_.load(std::memory_order_acquire) &&
-           ready_count_.load(std::memory_order_acquire) == 0) {
-      work_cv_.wait(sleep_mutex_);
-    }
-    if (stop_workers_.load(std::memory_order_acquire) &&
-        ready_count_.load(std::memory_order_acquire) == 0) {
-      return;
-    }
+    queue->run_one();
   }
 }
 
 void Executor::shutdown() {
-  shutting_down_.store(true, std::memory_order_release);
   {
-    std::vector<std::shared_ptr<SerialQueue>> live;
-    {
-      util::MutexLock lock(queues_mutex_);
-      live.reserve(queues_.size());
-      for (const auto& weak : queues_) {
-        if (auto queue = weak.lock()) live.push_back(std::move(queue));
-      }
-    }
-    for (const auto& queue : live) {
-      // Empty critical section on every queue mutex, AFTER the flag store:
-      // a submit critical section that began before it either finished
-      // first (so its pending_tasks_ increment is visible to the drain
-      // wait below, and workers are still alive to run the task) or starts
-      // after we release (and then observes shutting_down_ via the mutex's
-      // happens-before and rejects). Without this fence a submitter that
-      // passed its flag check could push a task after the drain completed
-      // and the workers exited — accepted work that never runs.
-      { util::MutexLock lock(queue->mutex_); }
-      // Wake every blocked submitter so it observes the shutdown (their
-      // wait loops re-check the flag under the queue mutex).
-      queue->space_cv_.notify_all();
-    }
-  }
-  {
-    // Graceful drain: every accepted task still runs.
-    util::MutexLock lock(sleep_mutex_);
+    // A submit either took the lock first and is counted in pending_, or
+    // sees the flag. A blocked submitter waits on a full, hence scheduled,
+    // mailbox: the drain below pops its next task and that wakes it.
+    util::MutexLock lock(mutex_);
+    shutting_down_ = true;
+    while (pending_ != 0) drained_cv_.wait(mutex_);
+    stop_workers_ = true;
     work_cv_.notify_all();
-    while (pending_tasks_.load(std::memory_order_acquire) != 0) {
-      drained_cv_.wait(sleep_mutex_);
-    }
   }
-  stop_workers_.store(true, std::memory_order_release);
-  { util::MutexLock lock(sleep_mutex_); }
-  work_cv_.notify_all();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }

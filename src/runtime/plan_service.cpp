@@ -303,17 +303,15 @@ BatchResult PlanService::run(const std::vector<PlanRequest>& requests) {
       state->remaining = requests.size();
     }
 
-    // One ephemeral single-slot queue per request: requests spread round-
-    // robin across all stripes and interleave fairly with live sessions
-    // (one task per acquisition), instead of one mega-queue serializing the
-    // batch behind a single drainer.
-    std::vector<std::shared_ptr<Executor::SerialQueue>> queues;
-    queues.reserve(requests.size());
+    // One ephemeral single-slot queue per request: requests interleave
+    // fairly with live sessions on the ready list (one task per turn) and
+    // run in parallel, instead of one mega-queue serializing the batch
+    // behind a single drainer. The executor holds each queue while its
+    // task is pending.
     for (std::size_t i = 0; i < requests.size(); ++i) {
-      auto queue = executor_.make_queue(1);
-      const SubmitResult submitted = queue->try_submit([this, &requests,
-                                                       &result, state, start,
-                                                       i] {
+      const SubmitResult submitted =
+          executor_.make_queue(1)->try_submit([this, &requests, &result,
+                                               state, start, i] {
         auto& metrics = service_metrics();
         const double queue_ms = ms_since(start);
         metrics.queue_ms.record(queue_ms);
@@ -338,7 +336,6 @@ BatchResult PlanService::run(const std::vector<PlanRequest>& requests) {
         util::MutexLock lock(state->mutex);
         --state->remaining;
       }
-      queues.push_back(std::move(queue));
     }
     util::MutexLock lock(state->mutex);
     while (state->remaining != 0) state->done.wait(state->mutex);

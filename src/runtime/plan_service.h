@@ -81,7 +81,6 @@ struct PlanOutcome {
 
 struct ServiceOptions {
   /// Worker threads in the pool; 0 means std::thread::hardware_concurrency().
-  /// The executor keeps one ready-list stripe per worker.
   std::size_t num_workers = 0;
 
   // ---- session serving knobs ----
@@ -189,8 +188,8 @@ enum class OnFull {
     const dynamic::DynamicPlanner& planner);
 
 /// A fixed-size pool of worker threads executing plan batches and serving
-/// long-lived dynamic sessions, both multiplexed over the same striped
-/// executor (runtime::Executor).
+/// long-lived dynamic sessions, both multiplexed over the same executor
+/// (runtime::Executor).
 ///
 /// Batches: run() executes every request on the pool and blocks until all
 /// outcomes are filled. Requests are independent, so a batch's outcomes are

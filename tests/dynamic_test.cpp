@@ -823,7 +823,7 @@ TEST(DynamicPlanner, IndependentVerifyOfSnapshot) {
   DynamicOptions options;
   options.config = workload::mode_config(core::PowerMode::kGlobal);
   DynamicPlanner planner(points, options);
-  planner.apply_trace(trace);
+  for (const auto& epoch : trace) (void)planner.apply(epoch);
 
   // Verify the final snapshot with a fresh oracle, independent of any state
   // the planner carries.

@@ -173,8 +173,10 @@ TEST(DynamicPlanner, ViewDeterminismSameHistorySamePlan) {
   options.config = workload::mode_config(core::PowerMode::kGlobal);
   dynamic::DynamicPlanner one(points, options);
   dynamic::DynamicPlanner two(points, options);
-  one.apply_trace(trace);
-  two.apply_trace(trace);
+  for (const auto& epoch : trace) {
+    (void)one.apply(epoch);
+    (void)two.apply(epoch);
+  }
 
   const auto& a = one.snapshot();
   const auto& b = two.snapshot();

@@ -6,6 +6,8 @@
 #include <string>
 #include <vector>
 
+#include "coloring/coloring.h"
+#include "conflict/conflict_index.h"
 #include "core/baseline.h"
 #include "core/planner.h"
 #include "geom/linkset.h"
@@ -639,8 +641,11 @@ TEST(OnePacker, ReproducesTheLoopsItReplaced) {
     auto config = workload::mode_config(c.mode);
     config.gamma = 0.5;  // small enough that colour classes must split
     config.sinr.noise = c.noise;
-    config.repair = false;
-    const Schedule colouring = core::schedule_links(links, config).schedule;
+    // The unrepaired first-fit colouring schedule_links starts from.
+    const Schedule colouring = from_coloring(coloring::greedy_color(
+        conflict::build_conflict_graph_indexed(links,
+                                               core::spec_for_mode(config)),
+        links.by_decreasing_length()));
     const bool global = c.mode == core::PowerMode::kGlobal;
     const auto power = core::power_for_mode(links, config);
     const auto oracle = core::oracle_for_mode(links, config);

@@ -331,16 +331,16 @@ TEST(Serve, FailedAsyncOpenFreesTheSlot) {
   EXPECT_EQ(service.num_sessions(), 0u);
 }
 
-TEST(Serve, EpochsSubmittedBeforeOpenResolvesQueueBehindIt) {
+TEST(Serve, EpochsSubmittedAfterOpenApplyInOrder) {
   PlanService service(ServiceOptions{.num_workers = 2});
   const auto initial = points(48, 61);
   const auto trace = trace_for(initial, 3, 71);
 
   auto open = service.open_session_async(
       initial, dyn_options(core::PowerMode::kOblivious));
-  // The id is embedded in the future's outcome, so epochs can only be
-  // addressed after get() — but the open may still be running; submits
-  // order behind it on the serial queue.
+  // The id arrives with the open's outcome, so every epoch is submitted
+  // after the open resolved. Submitted back to back without waiting, they
+  // must still apply one by one in submit order, as a serial replay does.
   OpenOutcome opened = open.get();
   ASSERT_EQ(opened.status, SessionStatus::kOk) << opened.error;
   std::vector<std::future<EpochOutcome>> futures;
